@@ -1,15 +1,16 @@
-"""Service-ingestion benchmark: wire v1 vs v2, workers, loss under
-overload.
+"""Service-ingestion benchmark: server-side fold rate, workers, loss
+under overload.
 
 The ROADMAP north star is a service "serving heavy traffic"; this
 benchmark measures the three numbers that matter for the ingestion tier:
 
-* **Wire-format speedup** — sustained records/s folded server-side with
-  producers pushing pre-encoded frames over real sockets, v1 JSON vs v2
-  binary.  Frames are encoded once and replayed so producer-side CPU
-  stays out of the measurement (on a small box the producers share the
-  machine with the server); the measured path is frame reading, CRC
+* **Server-side fold rate** — sustained records/s folded server-side
+  with producers pushing pre-encoded binary frames over real sockets.
+  Frames are encoded once and replayed so producer-side CPU stays out
+  of the measurement (on a small box the producers share the machine
+  with the server); the measured path is frame reading, CRC
   verification, routing, worker IPC, and the signature-memoized fold.
+  It is not end-to-end ingest: client-side encoding is excluded.
 * **Producer scaling** — the same grid at 1 and 4 concurrent producers.
 * **Graceful overload** — with an artificially slowed folder
   (``fold_delay``) and a small queue, producers outrun the server; the
@@ -29,8 +30,7 @@ from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import ProfileRecord
 from repro.service.client import ProfileClient
-from repro.service.protocol import (PROTOCOL_V2, PROTOCOL_VERSION,
-                                    encode_push_frames, hello_frame,
+from repro.service.protocol import (encode_push_frames, hello_frame,
                                     recv_frame, send_frame, sync_frame)
 from repro.service.server import ServerThread
 
@@ -64,11 +64,11 @@ def _diverse_batch():
             for i, record in enumerate(_batch())]
 
 
-def _producer_raw(host, port, version, frame, batches):
+def _producer_raw(host, port, frame, batches):
     """Replay one pre-encoded push frame *batches* times, then barrier."""
     sock = socket.create_connection((host, port), timeout=30.0)
     try:
-        send_frame(sock, hello_frame(version=version))
+        send_frame(sock, hello_frame())
         reply = recv_frame(sock)
         assert reply.get("kind") == "ok", reply
         for _ in range(batches):
@@ -79,16 +79,16 @@ def _producer_raw(host, port, version, frame, batches):
         sock.close()
 
 
-def _run_grid(version, producers, batches_per_producer, fold_delay=0.0,
+def _run_grid(producers, batches_per_producer, fold_delay=0.0,
               queue_size=256, shards=2, batch=None):
     if batch is None:
         batch = _batch()
-    (frame,) = encode_push_frames(batch, version=version)
+    (frame,) = encode_push_frames(batch)
     with ServerThread(port=0, shards=shards, queue_size=queue_size,
                       fold_delay=fold_delay) as server:
         host, port = server.server.host, server.server.port
         threads = [threading.Thread(target=_producer_raw,
-                                    args=(host, port, version, frame,
+                                    args=(host, port, frame,
                                           batches_per_producer))
                    for _ in range(producers)]
         start = time.perf_counter()
@@ -97,14 +97,14 @@ def _run_grid(version, producers, batches_per_producer, fold_delay=0.0,
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - start
-        with ProfileClient(server.address, wire=version) as client:
+        with ProfileClient(server.address) as client:
             stats = client.query("stats")["stats"]
     sent = producers * batches_per_producer * BATCH_RECORDS
     folded = stats["records"]
     dropped = stats["dropped_records"]
     assert folded + dropped == sent, "unaccounted records"
     return {
-        "wire": "v%d" % version,
+        "shape": "memoized",
         "producers": producers,
         "sent": sent,
         "folded": folded,
@@ -117,43 +117,32 @@ def _run_grid(version, producers, batches_per_producer, fold_delay=0.0,
 
 def _experiment():
     batches = 40 * bench_scale()
-    throughput = [
-        _run_grid(version, producers, batches)
-        for version in (PROTOCOL_VERSION, PROTOCOL_V2)
-        for producers in PRODUCER_COUNTS
-    ]
-    overload = _run_grid(PROTOCOL_V2, 4, batches, fold_delay=0.005,
-                         queue_size=4)
-    fold_bound = _run_grid(PROTOCOL_V2, 1, batches,
-                           batch=_diverse_batch())
-    fold_bound["wire"] = "v2 (fold-bound)"
+    throughput = [_run_grid(producers, batches)
+                  for producers in PRODUCER_COUNTS]
+    overload = _run_grid(4, batches, fold_delay=0.005, queue_size=4)
+    fold_bound = _run_grid(1, batches, batch=_diverse_batch())
+    fold_bound["shape"] = "fold-bound"
     return throughput, overload, fold_bound
 
 
 def test_bench_service_ingest(benchmark, capsys):
     throughput, overload, fold_bound = run_once(benchmark, _experiment)
-    best = {row["wire"]: max(r["records_per_s"]
-                             for r in throughput if r["wire"] == row["wire"])
-            for row in throughput}
     with capsys.disabled():
         print()
         print(format_table(
-            ["wire", "producers", "records sent", "folded", "dropped",
+            ["shape", "producers", "records sent", "folded", "dropped",
              "records/s"],
-            [[row["wire"], row["producers"], row["sent"], row["folded"],
+            [[row["shape"], row["producers"], row["sent"], row["folded"],
               row["dropped"], "%.0f" % row["records_per_s"]]
              for row in throughput + [fold_bound]],
-            title="Sustained ingest throughput (batch=%d records, "
+            title="Sustained server-side fold rate (batch=%d records, "
                   "pre-encoded frames; the fold-bound row defeats the "
                   "signature memo)" % BATCH_RECORDS))
         print()
-        print("v2 speedup over v1 (best of grid): %.1fx"
-              % (best["v2"] / best["v1"] if best["v1"] else float("inf")))
-        print()
         print(format_table(
-            ["wire", "producers", "sent", "folded", "dropped", "loss rate",
+            ["shape", "producers", "sent", "folded", "dropped", "loss rate",
              "records/s"],
-            [[overload["wire"], overload["producers"], overload["sent"],
+            [[overload["shape"], overload["producers"], overload["sent"],
               overload["folded"], overload["dropped"],
               "%.1f%%" % (100 * overload["loss"]),
               "%.0f" % overload["records_per_s"]]],
@@ -163,7 +152,6 @@ def test_bench_service_ingest(benchmark, capsys):
     for row in throughput:
         assert row["folded"] + row["dropped"] == row["sent"]
         assert row["dropped"] == 0  # no overload in the throughput grid
-    assert best["v2"] > best["v1"]  # the binary path must actually win
     assert overload["dropped"] > 0  # overload actually overloaded
     assert overload["folded"] > 0  # ...but the server kept serving
     # The fold-bound worst case loses no records either; it is slower

@@ -222,9 +222,6 @@ class SessionSpec:
     # push_to set, each reading is also shipped to the service; registry
     # reads are side-effect-free, so streaming never changes the run.
     probe_stream: int = 0
-    # Wire protocol version requested when pushing (2 = binary, 1 =
-    # JSON); like push_to, transport-only — it never changes results.
-    push_wire: int = 2
     # Continuous-ingest rollup: fold samples into time buckets of this
     # many cycles (0 = one flat store, the classic shape), rolling
     # closed buckets into exponentially coarser epochs.  retain_buckets
@@ -316,7 +313,7 @@ class SessionSpec:
             # side-effect-free, so a streamed run simulates identically
             # to an unstreamed one and must hit the same cache entry.
             if spec_field.name in ("label", "push_to", "probe_stream",
-                                   "push_wire", "window_workers"):
+                                   "window_workers"):
                 continue
             if (spec_field.name in ("exec_mode", "window", "batch_windows")
                     and self.exec_mode == "detailed"):
@@ -463,8 +460,7 @@ def run_session(spec):
             from repro.service.client import ProfileClient, ServiceSink
 
             push_sink = stack.driver.add_sink(
-                ServiceSink(ProfileClient(spec.push_to,
-                                          wire=spec.push_wire)))
+                ServiceSink(ProfileClient(spec.push_to)))
     counter = None
     if spec.counter is not None:
         counter = EventCounter(spec.counter,
@@ -492,8 +488,7 @@ def run_session(spec):
         if spec.push_to:
             from repro.service.client import ProfileClient
 
-            probe_client = ProfileClient(spec.push_to,
-                                         wire=spec.push_wire)
+            probe_client = ProfileClient(spec.push_to)
 
             def sink(cycle, readings):
                 probe_client.push_probes(readings, cycle)

@@ -2,8 +2,8 @@
 
 Four layers (see ``docs/architecture.md`` — "Profiling service"):
 
-* :mod:`repro.service.protocol` — versioned, length-prefixed JSON wire
-  protocol; exact record serialization;
+* :mod:`repro.service.protocol` — length-prefixed wire protocol: binary
+  data frames with exact record serialization, JSON control frames;
 * :mod:`repro.service.server` — asyncio ingestion server with bounded
   per-connection queues, drop accounting, shards, atomic snapshots;
 * :mod:`repro.service.client` — blocking producer transport with
@@ -13,18 +13,15 @@ Four layers (see ``docs/architecture.md`` — "Profiling service"):
 """
 
 from repro.service.client import ClientStats, ProfileClient, ServiceSink
-from repro.service.protocol import (PROTOCOL_VERSION, record_from_wire,
-                                    record_to_wire)
+from repro.service.protocol import WIRE_VERSION
 from repro.service.server import ProfileServer, ServerStats, ServerThread
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "ClientStats",
     "ProfileClient",
     "ProfileServer",
     "ServerStats",
     "ServerThread",
     "ServiceSink",
-    "record_from_wire",
-    "record_to_wire",
+    "WIRE_VERSION",
 ]

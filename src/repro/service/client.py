@@ -40,8 +40,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError, ServiceError
-from repro.service.protocol import (DEFAULT_WIRE_VERSION, MAX_FRAME_BYTES,
-                                    PROTOCOL_VERSION, check_ok, encode_frame,
+from repro.service.protocol import (MAX_FRAME_BYTES, check_ok, encode_frame,
                                     encode_probe_frame, epoch_range_params,
                                     hello_frame, parse_address,
                                     plan_push_frames, push_db_frame,
@@ -68,21 +67,16 @@ class ProfileClient:
     """Blocking transport speaking the profiling-service protocol."""
 
     def __init__(self, address, timeout=10.0, retries=3, backoff=0.05,
-                 cooldown=1.0, spill_path=None, wire=DEFAULT_WIRE_VERSION,
+                 cooldown=1.0, spill_path=None,
                  max_frame_bytes=MAX_FRAME_BYTES):
-        """*wire*: protocol version to request at the handshake (v2
-        binary by default).  A server that refuses it downgrades this
-        client to v1 JSON for the rest of its life — old servers keep
-        working, new ones get the compact encoding.  *max_frame_bytes*:
-        push batches are split client-side so no frame exceeds this.
-        """
+        """*max_frame_bytes*: push batches are split client-side so no
+        frame exceeds this."""
         self.host, self.port = parse_address(address)
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.cooldown = cooldown
         self.spill_path = spill_path
-        self.wire = wire  # sticky: downgraded to v1 on a version refusal
         self.max_frame_bytes = max_frame_bytes
         self.stats = ClientStats()
         self._sock = None
@@ -92,47 +86,17 @@ class ProfileClient:
     # Connection management.
 
     def _connect(self):
-        for _ in range(2):  # second pass only after a v1 downgrade
-            sock = socket.create_connection((self.host, self.port),
-                                            timeout=self.timeout)
-            try:
-                send_frame(sock, hello_frame(version=self.wire))
-                check_ok(recv_frame(sock), "handshake")
-            except ProtocolError as exc:
-                sock.close()
-                if self.wire != PROTOCOL_VERSION \
-                        and "version" in str(exc).lower():
-                    # The server refused our wire version; everyone
-                    # speaks v1 JSON, so fall back and reconnect.
-                    self.wire = PROTOCOL_VERSION
-                    continue
-                raise
-            except Exception:
-                sock.close()
-                raise
-            self._sock = sock
-            self._down_until = 0.0
-            self._replay_spill()
-            return
-        raise ProtocolError("handshake failed after version downgrade")
-
-    def _settle_wire(self):
-        """The wire version to encode with, after trying to negotiate.
-
-        Encoding happens client-side before the send, so the version
-        must be settled *first*: connect (and possibly downgrade) once
-        here, rather than discovering mid-push that frames were encoded
-        for a version the server refuses.  An unreachable server leaves
-        the requested version in place — its frames spill locally and
-        replay verbatim, which this server family accepts on any
-        connection (the decoder dispatches per frame).
-        """
-        if self._sock is None and time.monotonic() >= self._down_until:
-            try:
-                self._connect()
-            except (OSError, ProtocolError):
-                self._disconnect()
-        return self.wire
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        try:
+            send_frame(sock, hello_frame())
+            check_ok(recv_frame(sock), "handshake")
+        except Exception:
+            sock.close()
+            raise
+        self._sock = sock
+        self._down_until = 0.0
+        self._replay_spill()
 
     def _ensure_connected(self):
         if self._sock is None:
@@ -166,18 +130,17 @@ class ProfileClient:
     def push(self, samples):
         """Ship one batch of samples, fire-and-forget.
 
-        The batch is encoded in the negotiated wire version and split
-        into as many frames as the frame-size cap requires (almost
-        always one).  Returns True if every frame went out on the
-        socket, False if any was spilled (or lost with no spill file).
+        The batch is encoded once and split into as many frames as the
+        frame-size cap requires (almost always one).  Returns True if
+        every frame went out on the socket, False if any was spilled (or
+        lost with no spill file).
         """
         samples = list(samples)
         if not samples:
             return True
         delivered = True
         for frame, count in plan_push_frames(
-                samples, version=self._settle_wire(),
-                max_bytes=self.max_frame_bytes):
+                samples, max_bytes=self.max_frame_bytes):
             delivered = self._send_resilient(frame, records=count) \
                 and delivered
         return delivered
@@ -196,9 +159,8 @@ class ProfileClient:
         """
         if not readings:
             return True
-        return self._send_resilient(
-            encode_probe_frame(readings, tick, version=self._settle_wire()),
-            records=0)
+        return self._send_resilient(encode_probe_frame(readings, tick),
+                                    records=0)
 
     def _send_resilient(self, frame_bytes, records=0, await_reply=False):
         if time.monotonic() >= self._down_until:
@@ -244,11 +206,17 @@ class ProfileClient:
         os.truncate(self.spill_path, 0)
         self.stats.replayed_batches += len(frames)
         if clean_length < len(data):
-            # A torn or corrupt frame (producer died mid-append) ends
-            # the salvageable prefix; everything past it is discarded.
-            # That discard used to vanish without a trace — now it is
-            # one counted, reported drop event (>= 1 batch lost).
+            # A torn or corrupt frame (producer died mid-append), or a
+            # data frame in the retired v1 JSON encoding, ends the
+            # salvageable prefix; everything past it is discarded as one
+            # counted, reported drop event (>= 1 batch lost).
             self._report_replay_dropped(1)
+        # Replayed push_db (and sync-flagged) frames are acknowledged;
+        # read those replies now so none is taken for the reply to a
+        # later request.
+        for frame in frames:
+            if frame.get("kind") == "push_db" or frame.get("sync"):
+                check_ok(recv_frame(self._sock), "spill replay")
 
     def _report_replay_dropped(self, batches):
         self.stats.replay_dropped += batches

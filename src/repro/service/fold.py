@@ -211,7 +211,8 @@ class ShardFolder:
         return folded
 
     def fold_samples(self, samples):
-        """Fold already-decoded sample objects (the v1 path)."""
+        """Fold decoded sample objects one by one (the address-retaining
+        path of :meth:`fold_payload`)."""
         database = self.database
         before = database.total_samples
         for sample in samples:
@@ -222,11 +223,6 @@ class ShardFolder:
     def fold_probe_payload(self, payload):
         """Fold one v2 probe_push payload."""
         readings, tick = decode_probe_payload(payload)
-        self.database.add_probe_readings(readings, tick)
-        self.payloads_folded += 1
-        return len(readings)
-
-    def fold_probe_readings(self, readings, tick):
         self.database.add_probe_readings(readings, tick)
         self.payloads_folded += 1
         return len(readings)

@@ -7,34 +7,32 @@ ProfileClient` producers and the :class:`~repro.service.server.
 ProfileServer`.
 
 **Framing.**  A frame is a 4-byte big-endian length prefix followed by
-that many bytes of body.  Two body encodings share the framing and are
+that many bytes of body.  Two body kinds share the framing and are
 distinguished by the first body byte:
 
-* ``{`` (0x7B) — **protocol v1**: the body is one UTF-8 JSON object.
-* :data:`V2_MAGIC` (0xB2) — **protocol v2**: a struct-packed binary
-  frame (see below).  0xB2 is not valid leading UTF-8 JSON, so the two
-  encodings can be interleaved on one connection (and in one spill
-  file) without ambiguity.
+* :data:`V2_MAGIC` (0xB2) — a **data frame**: a struct-packed binary
+  ``push`` or ``probe_push`` (see below), the only encoding of sample
+  and probe data.
+* ``{`` (0x7B) — a **control frame**: one UTF-8 JSON object (hello,
+  sync, query, report, push_db and the ok/error replies).  A JSON
+  ``push`` or ``probe_push`` (the retired v1 data encoding) is refused
+  with a typed :class:`ProtocolError` naming wire v2.
+
+0xB2 cannot open UTF-8 JSON, so the two kinds interleave on one
+connection (and in one spill file) without ambiguity.
 
 Frames above ``MAX_FRAME_BYTES`` are refused on *both* sides: a garbage
 length prefix must not make a peer allocate gigabytes, and
-:func:`encode_push_frames` splits oversized batches client-side so a
+:func:`plan_push_frames` splits oversized batches client-side so a
 producer never emits a frame the server would refuse.  The same framing
 is used in both directions and in the client's spill file, so a spill
 replay is nothing more than re-sending stored frames.
 
 **Versioning.**  Every conversation opens with a JSON ``hello`` frame
-carrying the client's preferred version; the server answers with the
-highest version both sides speak (its ok frame's ``version`` field) and
-refuses versions it does not know.  Version 1 peers exchange JSON
-everywhere; version 2 peers pack the two bulk ingest messages (``push``
-and ``probe_push``) into binary frames while control traffic (hello,
-sync, query, replies) stays JSON.  The server decodes both body
-encodings on every connection regardless of the negotiated version, so
-v1 JSON clients, v2 binary clients, and mixed spill replays all fold
-into the same database.
+carrying :data:`WIRE_VERSION`; the server answers ok with the same
+version, or a typed error for any other version.
 
-**Binary frame layout (v2).**  After the 4-byte length prefix::
+**Binary frame layout.**  After the 4-byte length prefix::
 
     offset  size  field
     0       1     V2_MAGIC (0xB2)
@@ -49,7 +47,7 @@ The CRC is verified before any payload byte is interpreted, so a
 corrupted frame is one typed :class:`ProtocolError` (and one accounted
 drop), never a crash or a silently wrong fold.
 
-**Payload encoding (v2 push).**  ``uvarint count`` followed by *count*
+**Payload encoding (push).**  ``uvarint count`` followed by *count*
 samples.  Varints are LEB128 (7 data bits per byte, little-endian
 groups, high bit = continuation); signed values use zigzag
 (``n >= 0 -> 2n``, ``n < 0 -> -2n - 1``) so small deltas of either sign
@@ -88,13 +86,13 @@ intra_pair_distance), [svarint cycles], [svarint distance]``.  A group
 record is ``uvarint n, n * (byte present + [record]), n * (byte present
 + [svarint fetch_offset]), uvarint d, d * svarint distance``.
 
-**Payload encoding (v2 probe_push)**: ``svarint tick, uvarint count``,
+**Payload encoding (probe_push)**: ``svarint tick, uvarint count``,
 then per reading ``uvarint name-length, name UTF-8, value`` where a
 value is one tag byte — 0 none, 1 int (svarint), 2 float (8-byte
 big-endian double), 3 str (uvarint length + UTF-8), 4 true, 5 false.
 
-**Messages** (``kind`` field; v2 binary frames decode to the same
-shapes, with the undecoded payload under ``payload``):
+**Messages** (``kind`` field; binary data frames decode to a dict
+with the undecoded payload under ``payload``):
 
 ========== ============ ==============================================
 kind        direction    meaning
@@ -122,10 +120,9 @@ ok / error  s -> c       responses
 
 Record serialization round-trips :class:`ProfileRecord`,
 :class:`PairedRecord`, and :class:`GroupRecord` exactly — every field,
-including ``None`` latencies and off-path records with no opcode — in
-both protocol versions, so a database folded server-side from wire
-records is field-for-field identical to one folded in-process from the
-original objects.
+including ``None`` latencies and off-path records with no opcode — so a
+database folded server-side from wire records is field-for-field
+identical to one folded in-process from the original objects.
 """
 
 import json
@@ -138,10 +135,7 @@ from repro.isa.opcodes import Opcode
 from repro.profileme.registers import (GroupRecord, LATENCY_FIELDS,
                                        PairedRecord, ProfileRecord)
 
-PROTOCOL_VERSION = 1  # the JSON protocol (kept for v1 peers)
-PROTOCOL_V2 = 2  # binary push/probe_push frames
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_V2)
-DEFAULT_WIRE_VERSION = PROTOCOL_V2
+WIRE_VERSION = 2  # binary push/probe_push data frames, JSON control
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
@@ -225,100 +219,7 @@ def _sv_decode(data, offset):
 
 
 # ----------------------------------------------------------------------
-# Record <-> wire v1 (JSON-safe dicts).
-
-
-def record_to_wire(sample):
-    """Serialize a single/paired/group sample to a JSON-safe dict."""
-    if isinstance(sample, PairedRecord):
-        return {
-            "t": "pair",
-            "first": _single_to_wire(sample.first),
-            "second": (_single_to_wire(sample.second)
-                       if sample.second is not None else None),
-            "cycles": sample.intra_pair_cycles,
-            "distance": sample.intra_pair_distance,
-        }
-    if isinstance(sample, GroupRecord):
-        return {
-            "t": "group",
-            "records": [_single_to_wire(r) if r is not None else None
-                        for r in sample.records],
-            "offsets": list(sample.fetch_offsets),
-            "distances": list(sample.distances),
-        }
-    return _single_to_wire(sample)
-
-
-def record_from_wire(data):
-    """Rebuild a sample from :func:`record_to_wire` output."""
-    try:
-        tag = data.get("t")
-        if tag == "pair":
-            second = data["second"]
-            return PairedRecord(
-                first=_single_from_wire(data["first"]),
-                second=(_single_from_wire(second)
-                        if second is not None else None),
-                intra_pair_cycles=data["cycles"],
-                intra_pair_distance=data["distance"])
-        if tag == "group":
-            return GroupRecord(
-                records=tuple(_single_from_wire(r) if r is not None else None
-                              for r in data["records"]),
-                fetch_offsets=tuple(data["offsets"]),
-                distances=tuple(data["distances"]))
-        if tag == "record":
-            return _single_from_wire(data)
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ProtocolError("malformed wire record: %s" % (exc,)) from exc
-    raise ProtocolError("unknown record tag %r" % (tag,))
-
-
-def _single_to_wire(record):
-    return {
-        "t": "record",
-        "context": record.context,
-        "pc": record.pc,
-        "op": record.op.name if record.op is not None else None,
-        "addr": record.addr,
-        "events": int(record.events),
-        "abort": record.abort_reason.name,
-        "history": record.history,
-        "lat": [getattr(record, name) for name in LATENCY_FIELDS],
-        "fetch_cycle": record.fetch_cycle,
-        "done_cycle": record.done_cycle,
-    }
-
-
-def _single_from_wire(data):
-    try:
-        latencies = dict(zip(LATENCY_FIELDS, data["lat"]))
-        if len(data["lat"]) != len(LATENCY_FIELDS):
-            raise ProtocolError("expected %d latency registers, got %d"
-                                % (len(LATENCY_FIELDS), len(data["lat"])))
-        op = data["op"]
-        return ProfileRecord(
-            context=data["context"],
-            pc=data["pc"],
-            op=Opcode[op] if op is not None else None,
-            addr=data["addr"],
-            events=Event(data["events"]),
-            abort_reason=AbortReason[data["abort"]],
-            history=data["history"],
-            fetch_cycle=data["fetch_cycle"],
-            done_cycle=data["done_cycle"],
-            **latencies)
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError("malformed wire record: %s" % (exc,)) from exc
-
-
-# ----------------------------------------------------------------------
-# Record <-> wire v2 (struct-packed, delta/varint).
+# Record <-> wire (struct-packed, delta/varint).
 
 
 def _encode_single_v2(out, record, state):
@@ -673,67 +574,43 @@ def _sample_count(samples):
     return total
 
 
-def plan_push_frames(samples, sync=False, version=DEFAULT_WIRE_VERSION,
-                     max_bytes=MAX_FRAME_BYTES):
+def plan_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
     """Encode a batch as ``(frame bytes, top-level sample count)`` pairs.
 
-    The 16 MiB frame cap used to be enforced only on decode, so a
-    producer pushing one giant batch had it refused server-side; now the
-    batch is split client-side (recursively halved) until every frame
-    fits under *max_bytes*.  The per-frame counts let the sender keep
-    its delivery accounting exact when a split frame spills or is lost.
-    A single sample too large for a frame raises — there is no smaller
-    unit to split into.
+    The batch is encoded once; only when that frame would exceed
+    *max_bytes* is it halved and each half planned recursively, so the
+    server never receives a frame it would refuse.  The per-frame counts
+    let the sender keep its delivery accounting exact when a split frame
+    spills or is lost.  A single sample too large for a frame raises —
+    there is no smaller unit to split into.
     """
     samples = list(samples)
-    if version == PROTOCOL_V2:
-        frame = encode_binary_frame(FRAME_PUSH, encode_push_payload(samples),
-                                    _sample_count(samples), sync=sync) \
-            if _fits_v2(samples, max_bytes) else None
-    else:
-        frame = _encode_v1_push(samples, sync, max_bytes)
-    if frame is not None:
-        return [(frame, len(samples))]
+    payload = encode_push_payload(samples)
+    if _V2_HEADER.size + len(payload) <= max_bytes:
+        return [(encode_binary_frame(FRAME_PUSH, payload,
+                                     _sample_count(samples), sync=sync),
+                 len(samples))]
     if len(samples) <= 1:
         raise ProtocolError("a single sample exceeds the %d-byte frame "
                             "limit; it cannot be split" % (max_bytes,))
     middle = len(samples) // 2
-    return (plan_push_frames(samples[:middle], sync=sync, version=version,
+    return (plan_push_frames(samples[:middle], sync=sync,
                              max_bytes=max_bytes)
-            + plan_push_frames(samples[middle:], sync=sync, version=version,
+            + plan_push_frames(samples[middle:], sync=sync,
                                max_bytes=max_bytes))
 
 
-def encode_push_frames(samples, sync=False, version=DEFAULT_WIRE_VERSION,
-                       max_bytes=MAX_FRAME_BYTES):
+def encode_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
     """Like :func:`plan_push_frames`, returning only the frame bytes."""
     return [frame for frame, _ in plan_push_frames(
-        samples, sync=sync, version=version, max_bytes=max_bytes)]
+        samples, sync=sync, max_bytes=max_bytes)]
 
 
-def _fits_v2(samples, max_bytes):
-    # Encode once to learn the size; the caller re-encodes only when the
-    # batch must be split, which is the rare path.
-    payload = encode_push_payload(samples)
-    return _V2_HEADER.size + len(payload) <= max_bytes
-
-
-def _encode_v1_push(samples, sync, max_bytes):
-    body = json.dumps(push_frame(samples, sync=sync),
-                      separators=(",", ":")).encode("utf-8")
-    if len(body) > max_bytes:
-        return None
-    return _HEADER.pack(len(body)) + body
-
-
-def encode_probe_frame(readings, tick, sync=False,
-                       version=DEFAULT_WIRE_VERSION):
-    """One probe_push frame in the requested wire version."""
-    if version == PROTOCOL_V2:
-        return encode_binary_frame(FRAME_PROBE_PUSH,
-                                   encode_probe_payload(readings, tick),
-                                   len(readings), sync=sync)
-    return encode_frame(probe_push_frame(readings, tick, sync=sync))
+def encode_probe_frame(readings, tick, sync=False):
+    """One binary probe_push frame."""
+    return encode_binary_frame(FRAME_PROBE_PUSH,
+                               encode_probe_payload(readings, tick),
+                               len(readings), sync=sync)
 
 
 def _decode_binary_body(body):
@@ -750,8 +627,8 @@ def _decode_binary_body(body):
         kind = "probe_push"
     else:
         raise ProtocolError("unknown binary frame type %d" % (frame_type,))
-    return {"kind": kind, "version": PROTOCOL_V2, "count": count,
-            "payload": payload, "sync": bool(flags & FLAG_SYNC)}
+    return {"kind": kind, "count": count, "payload": payload,
+            "sync": bool(flags & FLAG_SYNC)}
 
 
 def _decode_body(body):
@@ -764,6 +641,9 @@ def _decode_body(body):
     if not isinstance(obj, dict):
         raise ProtocolError("frame body must be a JSON object, got %s"
                             % (type(obj).__name__,))
+    if obj.get("kind") in ("push", "probe_push"):
+        raise ProtocolError("JSON %s frame refused: data frames must be "
+                            "wire v%d binary" % (obj["kind"], WIRE_VERSION))
     return obj
 
 
@@ -864,46 +744,13 @@ def _recv_exact(sock, count, allow_eof=False):
 # Message constructors / helpers.
 
 
-def hello_frame(version=PROTOCOL_VERSION):
-    return {"kind": "hello", "version": version}
-
-
-def negotiate_version(requested):
-    """The version the server will speak for a client's hello, or None.
-
-    The answer is the client's requested version when the server knows
-    it (a v1 client stays on JSON); unknown versions are refused.
-    """
-    return requested if requested in SUPPORTED_VERSIONS else None
-
-
-def push_frame(samples, sync=False):
-    """A v1 (JSON) batch of samples; *sync* requests a per-batch ack."""
-    frame = {"kind": "push",
-             "records": [record_to_wire(sample) for sample in samples]}
-    if sync:
-        frame["sync"] = True
-    return frame
+def hello_frame():
+    return {"kind": "hello", "version": WIRE_VERSION}
 
 
 def push_db_frame(document):
     """A whole ``repro-profile`` document for the server to merge."""
     return {"kind": "push_db", "database": document}
-
-
-def probe_push_frame(readings, tick, sync=False):
-    """One streamed probe-registry reading set at cycle *tick* (v1 JSON).
-
-    *readings* is ``{probe name: value}`` straight from
-    ``ProbeRegistry.read_all``; the server folds it into its shards'
-    :class:`~repro.analysis.database.ProbeSeries` aggregates so probe
-    trends land in the profiling database alongside the samples.
-    """
-    frame = {"kind": "probe_push", "tick": int(tick),
-             "readings": dict(readings)}
-    if sync:
-        frame["sync"] = True
-    return frame
 
 
 def sync_frame():

@@ -6,10 +6,8 @@ shared on-disk profile database, and serves the analysis tools.
 
 * **Many producers.**  One asyncio TCP server; each connection is a
   producer (a ``repro push`` run, one sweep worker process, a spill
-  replay) or a query client — the protocol is the same socket, in
-  either wire version (v1 JSON or v2 binary frames; the version is
-  negotiated per connection at hello, and the server decodes both frame
-  encodings on any connection, so mixed spill replays just work).
+  replay) or a query client — the protocol is the same socket: binary
+  data frames (``push``, ``probe_push``) beside JSON control frames.
 
 * **Worker processes.**  The event loop only reads frames, routes, and
   accounts; the CPU-heavy decode+fold runs in one dedicated worker
@@ -54,11 +52,9 @@ from repro.analysis.database import AGGREGATED_EVENTS, ProfileDatabase
 from repro.analysis.persistence import database_from_dict, save_database
 from repro.errors import ProtocolError, ServiceError
 from repro.events import Event
-from repro.service.protocol import (MAX_FRAME_BYTES, PROTOCOL_V2,
-                                    SUPPORTED_VERSIONS, _sample_count,
-                                    decode_probe_payload, error_frame,
-                                    negotiate_version, ok_frame, read_frame,
-                                    record_from_wire, write_frame)
+from repro.service.protocol import (MAX_FRAME_BYTES, WIRE_VERSION,
+                                    error_frame, ok_frame, read_frame,
+                                    write_frame)
 from repro.service.workers import make_workers, worker_pid
 
 
@@ -332,14 +328,12 @@ class ProfileServer:
         if frame.get("kind") != "hello":
             raise ProtocolError("expected hello, got %r"
                                 % (frame.get("kind"),))
-        version = negotiate_version(frame.get("version"))
-        if version is None:
+        if frame.get("version") != WIRE_VERSION:
             await self._try_send(writer, error_frame(
-                "protocol version %r unsupported (server speaks %s)"
-                % (frame.get("version"),
-                   ", ".join(str(v) for v in SUPPORTED_VERSIONS))))
+                "protocol version %r unsupported (server speaks %d)"
+                % (frame.get("version"), WIRE_VERSION)))
             return False
-        await write_frame(writer, ok_frame(version=version))
+        await write_frame(writer, ok_frame(version=WIRE_VERSION))
         return True
 
     async def _serve_frames(self, reader, writer, worker):
@@ -377,20 +371,12 @@ class ProfileServer:
                 raise ProtocolError("unknown frame kind %r" % (kind,))
 
     async def _ingest_push(self, writer, worker, frame):
-        if frame.get("version") == PROTOCOL_V2:
-            # Binary frame: CRC already verified, payload not yet
-            # decoded — that happens in the worker.  The header's record
-            # count is what a shed or crashed payload costs.
-            records = int(frame.get("count", 0))
-            command = ("payload", frame["payload"], records)
-        else:
-            # v1 JSON: decode before enqueueing so a malformed record is
-            # the sender's error, not a folder crash.
-            samples = [record_from_wire(item)
-                       for item in frame.get("records") or []]
-            records = _sample_count(samples)
-            command = ("samples", samples, records)
-        accepted = worker.offer(command, batches=1, records=records)
+        # CRC already verified, payload not yet decoded — that happens
+        # in the worker.  The header's record count is what a shed or
+        # crashed payload costs.
+        records = frame["count"]
+        accepted = worker.offer(("payload", frame["payload"], records),
+                                batches=1, records=records)
         if accepted:
             self.stats.batches += 1
         if frame.get("sync"):
@@ -415,14 +401,8 @@ class ProfileServer:
         """Shed-don't-block, exactly like sample pushes: a probe reading
         is one point on a trend line, cheaper to lose than to let an
         overloaded folder stall the producing simulation."""
-        if frame.get("version") == PROTOCOL_V2:
-            command = ("probe_payload", frame["payload"])
-        else:
-            readings = frame.get("readings")
-            if not isinstance(readings, dict):
-                raise ProtocolError("probe_push needs a readings object")
-            command = ("probes", int(frame.get("tick", 0)), readings)
-        accepted = worker.offer(command, batches=1, records=0)
+        accepted = worker.offer(("probe_payload", frame["payload"]),
+                                batches=1, records=0)
         if accepted:
             self.stats.probe_pushes += 1
         if frame.get("sync"):

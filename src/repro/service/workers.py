@@ -14,10 +14,10 @@ Topology (one per shard)::
         └── reader thread <── result pipe ──┘
 
 * **Commands** flow parent -> worker through the queue, in FIFO order:
-  fold commands (``payload``/``samples``/``probe_payload``/``probes``/
-  ``db``) and ``snap`` barrier tokens.  The queue is bounded: a full
-  queue sheds the command at the parent (*accounted*, never buffered
-  without bound), except documents/aggregates which block instead.
+  fold commands (``payload``/``probe_payload``/``db``) and ``snap``
+  barrier tokens.  The queue is bounded: a full queue sheds the command
+  at the parent (*accounted*, never buffered without bound), except
+  documents/aggregates which block instead.
 
 * **Replies** flow worker -> parent through the pipe; a daemon reader
   thread per worker hands them to the event loop with
@@ -78,14 +78,8 @@ def _apply_fold_command(folder, counters, command, fold_delay):
     if op == "payload":
         counters["records"] += folder.fold_payload(command[1])
         counters["batches_folded"] += 1
-    elif op == "samples":
-        counters["records"] += folder.fold_samples(command[1])
-        counters["batches_folded"] += 1
     elif op == "probe_payload":
         folder.fold_probe_payload(command[1])
-        counters["probe_pushes"] += 1
-    elif op == "probes":
-        folder.fold_probe_readings(command[2], command[1])
         counters["probe_pushes"] += 1
     elif op == "db":
         folder.merge_document(command[1])

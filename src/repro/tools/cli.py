@@ -342,7 +342,7 @@ def cmd_sweep(args):
                                     paired=args.paired,
                                     seed=args.seed + seed_index),
             keep_records=False,
-            push_to=args.push, push_wire=args.wire,
+            push_to=args.push,
             exec_mode=args.mode, window=args.window,
             label="S=%d seed=%d" % (interval, args.seed + seed_index))
         for interval in intervals
@@ -354,7 +354,7 @@ def cmd_sweep(args):
                       chunk_size=args.chunk_size,
                       progress=_sweep_progress)
     if args.push:
-        _push_cached_outcomes(args.push, sweep, wire=args.wire)
+        _push_cached_outcomes(args.push, sweep)
 
     rows = []
     report = []
@@ -409,7 +409,7 @@ def cmd_sweep(args):
     return 0 if not sweep.failures() else 1
 
 
-def _push_cached_outcomes(address, sweep, wire=2):
+def _push_cached_outcomes(address, sweep):
     """Forward cache hits (no simulation, no live stream) to the service."""
     from repro.engine.sweep import STATUS_CACHED
     from repro.service.client import ProfileClient
@@ -417,7 +417,7 @@ def _push_cached_outcomes(address, sweep, wire=2):
     documents = [outcome.payload["database"] for outcome in sweep.outcomes
                  if outcome.status == STATUS_CACHED and outcome.payload
                  and outcome.payload.get("database")]
-    with ProfileClient(address, wire=wire) as client:
+    with ProfileClient(address) as client:
         for document in documents:
             client.push_database(document)
         info = client.drain()
@@ -498,7 +498,7 @@ def cmd_push(args):
 
     if args.database:
         document = load_database(args.database).to_dict()
-        with ProfileClient(args.address, wire=args.wire) as client:
+        with ProfileClient(args.address) as client:
             if not client.push_database(document):
                 raise ConfigError("could not deliver %s to %s"
                                   % (args.database, args.address))
@@ -516,10 +516,10 @@ def cmd_push(args):
         program=program, core_kind=args.core,
         profile=ProfileMeConfig(mean_interval=args.interval,
                                 paired=args.paired, seed=args.seed),
-        keep_records=False, push_to=args.address, push_wire=args.wire,
+        keep_records=False, push_to=args.address,
         label="push:%s" % program.name)
     result = run_session(spec)
-    with ProfileClient(args.address, wire=args.wire) as client:
+    with ProfileClient(args.address) as client:
         reply = client.query("stats")
     print("pushed %s: %d samples from %d retired instructions "
           "(%d cycles) to %s"
@@ -570,7 +570,7 @@ def cmd_query(args):
                               "hex ok)" % (args.pc,)) from None
     epoch_params = _query_epoch_params(args) if args.cmd == "epochs" else None
 
-    with ProfileClient(args.address, wire=args.wire) as client:
+    with ProfileClient(args.address) as client:
         if args.drain:
             client.drain()
         if args.cmd == "top":
@@ -1037,10 +1037,6 @@ def build_parser():
                    help="stream live samples from every worker into a "
                         "running `repro serve` (cache hits are forwarded "
                         "as merged profile documents)")
-    p.add_argument("--wire", type=int, choices=(1, 2), default=2,
-                   help="wire protocol version for --push (2 = binary, "
-                        "1 = JSON; v2 falls back to v1 automatically "
-                        "against an old server)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("serve",
@@ -1090,8 +1086,6 @@ def build_parser():
     p.add_argument("--paired", action="store_true")
     p.add_argument("--core", choices=("ooo", "inorder"), default="ooo")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--wire", type=int, choices=(1, 2), default=2,
-                   help="wire protocol version (2 = binary, 1 = JSON)")
     p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("query", help="query a running profile service")
@@ -1111,8 +1105,6 @@ def build_parser():
     p.add_argument("--drain", action="store_true",
                    help="barrier this connection's ingest queue before "
                         "querying")
-    p.add_argument("--wire", type=int, choices=(1, 2), default=2,
-                   help="wire protocol version to negotiate")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("probes",

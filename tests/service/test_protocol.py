@@ -1,17 +1,31 @@
 """Tests for the profiling-service wire protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ProtocolError
 from repro.events import AbortReason, Event
 from repro.profileme.registers import GroupRecord, PairedRecord
-from repro.service.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                                    check_ok, encode_frame, error_frame,
-                                    hello_frame, ok_frame, parse_address,
-                                    push_frame, record_from_wire,
-                                    record_to_wire, split_frames)
+from repro.service.protocol import (MAX_FRAME_BYTES, WIRE_VERSION, _uv_decode,
+                                    _uv_encode, check_ok, decode_push_payload,
+                                    encode_frame, encode_push_payload,
+                                    error_frame, hello_frame, ok_frame,
+                                    parse_address, report_frame, split_frames)
 
 from tests.analysis.test_database import make_record
+
+
+def round_trip(sample):
+    (clone,) = decode_push_payload(encode_push_payload([sample]))
+    return clone
+
+
+def single_record_payload(record):
+    """(payload bytearray, offset of the record's length varint)."""
+    payload = bytearray(encode_push_payload([record]))
+    _, offset = _uv_decode(bytes(payload), 0)  # sample count
+    return payload, offset + 1  # past the record tag
 
 
 class TestRecordRoundTrip:
@@ -19,15 +33,13 @@ class TestRecordRoundTrip:
         record = make_record(pc=0x40, events=Event.RETIRED | Event.DCACHE_MISS,
                              addr=4096,
                              latencies={"load_issue_to_completion": 17})
-        assert record_from_wire(record_to_wire(record)) == record
+        assert round_trip(record) == record
 
     def test_offpath_record_without_opcode(self):
-        import dataclasses
-
         record = dataclasses.replace(
             make_record(op=None, events=Event.ABORTED | Event.BAD_PATH),
             abort_reason=AbortReason.FETCH_DISCARD)
-        clone = record_from_wire(record_to_wire(record))
+        clone = round_trip(record)
         assert clone == record
         assert clone.op is None
         assert clone.abort_reason is AbortReason.FETCH_DISCARD
@@ -35,41 +47,55 @@ class TestRecordRoundTrip:
     def test_none_latencies_survive(self):
         record = make_record(latencies={"data_ready_to_issue": None,
                                         "issue_to_retire_ready": None})
-        clone = record_from_wire(record_to_wire(record))
+        clone = round_trip(record)
         assert clone.data_ready_to_issue is None
         assert clone.issue_to_retire_ready is None
 
     def test_pair_with_missing_second(self):
         pair = PairedRecord(first=make_record(pc=0x10), second=None,
                             intra_pair_cycles=None, intra_pair_distance=7)
-        assert record_from_wire(record_to_wire(pair)) == pair
+        assert round_trip(pair) == pair
 
     def test_group_with_missing_members(self):
         group = GroupRecord(
             records=(make_record(pc=0x10), None, make_record(pc=0x30)),
             fetch_offsets=(0, None, 12), distances=(5, 5))
-        assert record_from_wire(record_to_wire(group)) == group
+        assert round_trip(group) == group
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown record tag"):
-            record_from_wire({"t": "bogus"})
+        payload, offset = single_record_payload(make_record())
+        payload[offset - 1] = 7  # no such sample tag
+        with pytest.raises(ProtocolError, match="unknown sample tag"):
+            decode_push_payload(bytes(payload))
 
     def test_malformed_record_rejected(self):
-        wire = record_to_wire(make_record())
-        del wire["events"]
-        with pytest.raises(ProtocolError, match="malformed wire record"):
-            record_from_wire(wire)
+        # The record's length prefix claims one byte more than it holds.
+        payload, offset = single_record_payload(make_record())
+        length, end = _uv_decode(bytes(payload), offset)
+        grown = bytearray()
+        _uv_encode(grown, length + 1)
+        payload[offset:end] = grown
+        with pytest.raises(ProtocolError):
+            decode_push_payload(bytes(payload) + b"\x00")
 
     def test_wrong_latency_count_rejected(self):
-        wire = record_to_wire(make_record())
-        wire["lat"] = wire["lat"][:-1]
+        # The presence byte announces one latency register more than the
+        # record carries.
+        record = make_record(latencies={"load_issue_to_completion": None})
+        payload, offset = single_record_payload(record)
+        _, body = _uv_decode(bytes(payload), offset)
+        for _ in range(3):  # pc, fetch and done deltas: one byte each here
+            body += 1
+        presence = body + 2  # past the opcode and abort-reason bytes
+        assert payload[presence] & 0x40 == 0
+        payload[presence] |= 0x40  # load_issue_to_completion present
         with pytest.raises(ProtocolError):
-            record_from_wire(wire)
+            decode_push_payload(bytes(payload))
 
 
 class TestFraming:
     def test_frame_round_trip(self):
-        frame = push_frame([make_record()], sync=True)
+        frame = report_frame(replay_dropped=3)
         frames, clean = split_frames(encode_frame(frame))
         assert clean == len(encode_frame(frame))
         assert frames == [frame]
@@ -107,7 +133,7 @@ class TestFraming:
             split_frames(data)
 
     def test_hello_carries_version(self):
-        assert hello_frame()["version"] == PROTOCOL_VERSION
+        assert hello_frame()["version"] == WIRE_VERSION == 2
 
     def test_check_ok_raises_on_error_frame(self):
         with pytest.raises(ProtocolError, match="server said: nope"):

@@ -1,14 +1,13 @@
 """Wire protocol v2: round-trip properties and adversarial frame fuzzing.
 
-The binary encoding earns its 10x only if it is *exactly* as safe as the
-JSON it replaces.  Three obligations, each tested here:
+The binary encoding is the only encoding of sample data, so it must be
+exact and safe.  Three obligations, each tested here:
 
 * **Round trip** (Hypothesis): any encodable batch decodes back to equal
   samples, and re-encoding the decoded batch reproduces the original
   bytes — the encoding is canonical, so delta/varint state can never
   drift between peers.  Covers pc regressions (negative deltas), 64-bit
-  wrap-around, empty batches, paired/group samples, and v1 <-> v2
-  cross-encoding equivalence.
+  wrap-around, empty batches, and paired/group samples.
 
 * **Adversarial input**: every torn prefix of a valid frame, truncated
   varints, corrupted CRCs, unknown tags/ordinals, and oversized headers
@@ -35,15 +34,15 @@ from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import GroupRecord, PairedRecord, ProfileRecord
 from repro.service.fold import ShardFolder
+from repro.service import protocol
 from repro.service.protocol import (FRAME_PROBE_PUSH, FRAME_PUSH,
-                                    MAX_FRAME_BYTES, PROTOCOL_V2, V2_MAGIC,
+                                    MAX_FRAME_BYTES, V2_MAGIC, WIRE_VERSION,
                                     _sample_count, _sv_decode, _sv_encode,
                                     _uv_decode, _uv_encode,
                                     decode_probe_payload, decode_push_payload,
                                     encode_binary_frame, encode_frame,
                                     encode_probe_payload, encode_push_payload,
                                     hello_frame, plan_push_frames,
-                                    record_from_wire, record_to_wire,
                                     recv_frame, send_frame, split_frames)
 
 
@@ -135,10 +134,12 @@ class TestRoundTrip:
 
     @settings(max_examples=80, deadline=None)
     @given(_batches)
-    def test_v1_and_v2_decode_to_equal_samples(self, batch):
-        via_v1 = [record_from_wire(record_to_wire(s)) for s in batch]
-        via_v2 = decode_push_payload(encode_push_payload(batch))
-        assert via_v1 == via_v2 == batch
+    def test_v2_decodes_to_original_samples(self, batch):
+        [(frame, top_level)] = plan_push_frames(batch)
+        [decoded], _ = split_frames(frame)
+        assert decode_push_payload(decoded["payload"]) == batch
+        assert top_level == len(batch)
+        assert decoded["count"] == _sample_count(batch)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(
@@ -190,13 +191,12 @@ class TestRoundTrip:
         with pytest.raises(ProtocolError):
             _uv_encode(bytearray(), -1)
 
-    def test_v2_is_much_smaller_than_v1(self):
+    def test_push_payload_is_compact(self):
+        # A steady stream delta-codes pc and timestamps to one byte
+        # each, so a record costs a little over a dozen bytes.
         batch = [_rec(pc=0x40 + 4 * i, fetch_cycle=100 + 7 * i,
                       done_cycle=140 + 7 * i) for i in range(256)]
-        v1 = len(json.dumps([record_to_wire(s) for s in batch]
-                            ).encode("utf-8"))
-        v2 = len(encode_push_payload(batch))
-        assert v2 * 8 < v1  # the headline compaction claim, conservatively
+        assert len(encode_push_payload(batch)) <= 16 * len(batch)
 
 
 # ----------------------------------------------------------------------
@@ -207,28 +207,35 @@ class TestFrameSplitting:
     def _batch(self, n):
         return [_rec(pc=0x40 + 4 * i, history=i) for i in range(n)]
 
-    @pytest.mark.parametrize("version", [1, PROTOCOL_V2])
+    @pytest.mark.parametrize("version", [WIRE_VERSION])
     def test_oversized_batch_splits_under_cap(self, version):
         cap = 4096
         batch = self._batch(600)
-        plan = plan_push_frames(batch, version=version, max_bytes=cap)
+        plan = plan_push_frames(batch, max_bytes=cap)
         assert len(plan) > 1
         recovered = []
         for frame, top_level in plan:
             assert len(frame) - 4 <= cap  # length prefix excluded
-            body = frame[4:]
-            if version == PROTOCOL_V2:
-                assert body[0] == V2_MAGIC
-                frames, _ = split_frames(frame)
-                chunk = decode_push_payload(frames[0]["payload"])
-            else:
-                decoded = json.loads(body.decode("utf-8"))
-                chunk = [record_from_wire(item)
-                         for item in decoded["records"]]
+            assert frame[4] == V2_MAGIC  # a binary data frame
+            frames, _ = split_frames(frame)
+            chunk = decode_push_payload(frames[0]["payload"])
             assert len(chunk) == top_level
             recovered.extend(chunk)
         assert recovered == batch
         assert sum(count for _, count in plan) == len(batch)
+
+    def test_fitting_batch_is_encoded_once(self, monkeypatch):
+        calls = []
+        encode = protocol.encode_push_payload
+
+        def counting_encode(samples):
+            calls.append(len(samples))
+            return encode(samples)
+
+        monkeypatch.setattr(protocol, "encode_push_payload", counting_encode)
+        plan = plan_push_frames(self._batch(256))
+        assert len(plan) == 1
+        assert calls == [256]
 
     def test_single_giant_sample_raises(self):
         sample = _rec(history=2 ** 64 - 1)
@@ -343,6 +350,7 @@ class TestAdversarialFrames:
         assert frames == [] and clean == 0
 
     def test_interleaved_v1_and_v2_frames_both_decode(self):
+        # Binary data frames and JSON control frames share one stream.
         v2 = _valid_frame()
         v1 = encode_frame({"kind": "sync"})
         frames, clean = split_frames(v2 + v1 + v2)
@@ -384,7 +392,7 @@ class TestServerSurvivesGarbage:
     def _raw_socket(self, server):
         sock = socket.create_connection((server.host, server.port),
                                         timeout=5.0)
-        send_frame(sock, hello_frame(version=PROTOCOL_V2))
+        send_frame(sock, hello_frame())
         reply = recv_frame(sock)
         assert reply.get("kind") == "ok"
         return sock
@@ -406,6 +414,26 @@ class TestServerSurvivesGarbage:
             info = client.drain()
         assert info["dropped_batches"] == 0
         assert server.stats.protocol_errors == 1
+
+    def test_json_data_frames_refused_then_clean_connection(self, server):
+        from repro.service.client import ProfileClient
+
+        for kind in ("push", "probe_push"):
+            sock = self._raw_socket(server)
+            send_frame(sock, {"kind": kind, "records": [], "readings": {}})
+            reply = recv_frame(sock)
+            sock.close()
+            assert reply.get("kind") == "error"
+            assert "must be wire v2" in reply.get("message", "")
+        assert server.stats.protocol_errors == 2
+        # Other connections are unaffected.
+        with ProfileClient("%s:%d" % (server.host, server.port)) as client:
+            assert client.push([_rec()])
+            assert client.push_probes({"cpu0.core.retired": 1}, tick=1)
+            client.drain()
+            stats = client.query("stats")
+        assert stats["total_samples"] == 1
+        assert stats["stats"]["probe_pushes"] == 1
 
     def test_random_garbage_streams(self, server):
         import random

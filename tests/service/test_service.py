@@ -20,7 +20,7 @@ from repro.engine.sweep import spec_key
 from repro.events import Event
 from repro.profileme.unit import ProfileMeConfig
 from repro.service.client import ProfileClient, ServiceSink
-from repro.service.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
+from repro.service.protocol import (MAX_FRAME_BYTES, WIRE_VERSION,
                                     hello_frame, recv_frame, send_frame)
 from repro.service.server import ServerThread
 from repro.workloads import stall_kernel
@@ -182,7 +182,8 @@ class TestProtocolEnforcement:
             sock.close()
         assert reply["kind"] == "error"
         assert "version" in reply["message"]
-        assert str(PROTOCOL_VERSION) in reply["message"]
+        assert WIRE_VERSION == 2
+        assert "speaks 2" in reply["message"]
 
     def test_non_hello_opening_refused(self, server):
         sock = socket.create_connection(("127.0.0.1", server.server.port),

@@ -24,8 +24,8 @@ import pytest
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import ProfileRecord
-from repro.service.protocol import (PROTOCOL_V2, encode_push_frames,
-                                    hello_frame, recv_frame, send_frame)
+from repro.service.protocol import (encode_push_frames, hello_frame,
+                                    recv_frame, send_frame)
 from repro.service.server import ServerThread
 from repro.service.workers import kill_worker, worker_pid
 
@@ -58,7 +58,7 @@ class SyncConnection:
     def __init__(self, server):
         self.sock = socket.create_connection((server.host, server.port),
                                              timeout=10.0)
-        send_frame(self.sock, hello_frame(version=PROTOCOL_V2))
+        send_frame(self.sock, hello_frame())
         reply = recv_frame(self.sock)
         assert reply.get("kind") == "ok"
 

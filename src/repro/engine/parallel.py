@@ -75,63 +75,3 @@ def run_sessions_parallel(specs, workers=None):
             results[index] = result
     return results
 
-
-# ----------------------------------------------------------------------
-# Batched two-speed windows (repro.engine.twospeed batch mode).
-
-# Per-worker shared context: (program, machine_config, profile).  Set by
-# the pool initializer so each WindowPlan payload ships only the state
-# that differs per window, not the program image every time.
-_WINDOW_CONTEXT = None
-
-
-def _init_window_worker(program, machine_config, profile):
-    global _WINDOW_CONTEXT
-    _WINDOW_CONTEXT = (program, machine_config, profile)
-
-
-def _run_window_payload(plan):
-    """Worker body: run one window; ship failures back as data."""
-    from repro.engine.twospeed import run_window
-
-    program, machine_config, profile = _WINDOW_CONTEXT
-    try:
-        return plan.index, run_window(program, machine_config, profile,
-                                      plan), None
-    except Exception:
-        return plan.index, None, traceback.format_exc()
-
-
-def run_windows(program, machine_config, profile, plans, workers=1):
-    """Run planned two-speed windows; return results in plan order.
-
-    Windows are independent (each plan carries private architectural
-    and warm-state copies), so execution order and process placement
-    cannot change results: ``workers=1`` runs inline and ``workers=N``
-    fans across processes, and the two are byte-equivalent
-    (``tests/engine/test_twospeed_batched.py``).
-    """
-    from repro.engine.twospeed import run_window
-
-    plans = list(plans)
-    if not plans:
-        return []
-    if workers is None:
-        workers = min(len(plans), os.cpu_count() or 1)
-    if workers <= 1 or len(plans) == 1:
-        return [run_window(program, machine_config, profile, plan)
-                for plan in plans]
-
-    results = [None] * len(plans)
-    with _pool_context().Pool(
-            processes=min(workers, len(plans)),
-            initializer=_init_window_worker,
-            initargs=(program, machine_config, profile)) as pool:
-        for index, result, failure in pool.imap_unordered(
-                _run_window_payload, plans):
-            if failure is not None:
-                raise WorkerError(
-                    "two-speed window %d failed in a worker process\n"
-                    "--- worker traceback ---\n%s" % (index, failure))
-            results[index] = result
-    return results

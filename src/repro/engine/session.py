@@ -205,17 +205,6 @@ class SessionSpec:
     # (repro.engine.twospeed).
     exec_mode: str = "detailed"
     window: int = 2000
-    # Batched two-speed windows: one functional pass plans every
-    # detailed window, then the windows run independently (serially or
-    # across `window_workers` processes) and merge in order.  Changes
-    # what is simulated (windows start from functionally-warmed state
-    # instead of chaining through the detailed core), so it is hashed —
-    # but only when enabled, preserving every pre-existing spec_key.
-    batch_windows: bool = False
-    # Process fan-out for batched windows.  Pure execution detail: any
-    # worker count produces byte-identical results, so it is never
-    # hashed (like push_to, it cannot change what is simulated).
-    window_workers: int = 1
     label: Optional[str] = None
     push_to: Optional[str] = None  # "host:port" profile-service address
     # Cycles between streamed probe-registry readings (0 = off).  With
@@ -267,11 +256,6 @@ class SessionSpec:
             if self.max_cycles is not None:
                 raise ConfigError("two-speed mode has no global cycle axis; "
                                   "use max_retired")
-        elif self.batch_windows:
-            raise ConfigError("batch_windows requires exec_mode='two-speed'")
-        if self.window_workers < 1:
-            raise ConfigError("window_workers must be >= 1, got %r"
-                              % (self.window_workers,))
         if self.rollup_interval < 0:
             raise ConfigError("rollup_interval must be >= 0, got %r"
                               % (self.rollup_interval,))
@@ -312,16 +296,10 @@ class SessionSpec:
             # probe_stream is observation-only: registry reads are
             # side-effect-free, so a streamed run simulates identically
             # to an unstreamed one and must hit the same cache entry.
-            if spec_field.name in ("label", "push_to", "probe_stream",
-                                   "window_workers"):
+            if spec_field.name in ("label", "push_to", "probe_stream"):
                 continue
-            if (spec_field.name in ("exec_mode", "window", "batch_windows")
+            if (spec_field.name in ("exec_mode", "window")
                     and self.exec_mode == "detailed"):
-                continue
-            # batch_windows changes window warm-up provenance, so it is
-            # hashed when on — but omitted when off so chained two-speed
-            # specs keep the spec_key they had before the field existed.
-            if spec_field.name == "batch_windows" and not self.batch_windows:
                 continue
             if (spec_field.name == "static_branch_hints"
                     and self.static_branch_hints is None):

@@ -34,7 +34,6 @@ bias rule the hardware unit applies to selections landing on busy
 register sets.
 """
 
-import copy
 import dataclasses
 
 from repro.analysis.concurrency import PairAnalyzer
@@ -45,7 +44,6 @@ from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.tracecache import BlockCache
 from repro.cpu.warm import WarmState, fast_forward
 from repro.isa.interpreter import Interpreter
-from repro.isa.state import Memory
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.profileme.driver import ProfileMeDriver
 from repro.profileme.registers import GroupRecord, PairedRecord
@@ -121,8 +119,6 @@ def run_two_speed(spec):
     Validation (ooo core, profile present, no counter/truth) happens in
     ``SessionSpec.__post_init__``; this function assumes a valid spec.
     """
-    if spec.batch_windows:
-        return _run_two_speed_batched(spec)
     # Imported here, not at module level: session.py imports this module
     # inside run_session, and the result types live there.
     from repro.engine.session import CoreStats, SessionResult
@@ -257,206 +253,3 @@ def run_two_speed(spec):
         pair_analyzer=pair_analyzer, truth=None, counter=None,
         sampling_stats=unit_stats, two_speed=stats)
 
-
-# ----------------------------------------------------------------------
-# Batched windows: plan every detailed window in one functional pass,
-# then run the windows independently (optionally across processes).
-
-
-@dataclasses.dataclass
-class WindowPlan:
-    """Everything one detailed window needs to run in isolation.
-
-    Captured during the planning pass: the architectural state at the
-    window entry, a private deep copy of the warm microarchitectural
-    state, and the window's sampling parameters.  Plans are plain
-    picklable data, so they can ship to worker processes.
-    """
-
-    index: int
-    snapshot: object  # ArchSnapshot at the window entry
-    warm: object  # WarmState deep copy (private to this window)
-    lead: int  # instructions until the armed sample fires
-    limit: int  # retired-instruction budget for this window
-
-
-@dataclasses.dataclass
-class WindowResult:
-    """What one detailed window produced (picklable, un-rebased)."""
-
-    index: int
-    cycles: int
-    retired: int
-    fetched: int
-    aborted: int
-    mispredicts: int
-    records: list  # delivered samples on the window-local cycle axis
-    unit_stats: object  # ProfileMeStats for this window
-
-
-def run_window(program, machine_config, profile, plan):
-    """Run one planned detailed window; returns a :class:`WindowResult`.
-
-    Windows are independent by construction: each adopts its own memory
-    copy and its own warm-state copy, so any execution order (or process
-    placement) produces identical results.
-    """
-    warm = plan.warm
-    core = OutOfOrderCore(program, config=machine_config,
-                          hierarchy=warm.hierarchy,
-                          predictor=warm.predictor, ghr=warm.ghr)
-    core.inject_state(list(plan.snapshot.regs),
-                      Memory(plan.snapshot.memory), plan.snapshot.pc)
-    delivered = []
-    window_profile = dataclasses.replace(
-        profile, seed=SamplingRng(profile.seed).fork(
-            ("window", plan.index)).seed)
-    unit = ProfileMeUnit(window_profile, handler=delivered.extend,
-                         auto_rearm=False)
-    core.add_probe(unit)
-    unit.arm_major_at(plan.lead)
-    cycles = core.run(max_retired=plan.limit)
-    unit.finalize()
-    return WindowResult(index=plan.index, cycles=cycles,
-                        retired=core.retired, fetched=core.fetched,
-                        aborted=core.aborted,
-                        mispredicts=core.mispredicts,
-                        records=delivered, unit_stats=unit.stats)
-
-
-def _run_two_speed_batched(spec):
-    """Two-speed with batched (optionally parallel) detailed windows.
-
-    One functional pass plans every window: it fast-forwards through the
-    whole run (trace-cache accelerated), snapshotting architectural and
-    warm state at each window entry, and advances sampling exactly like
-    the chained scheduler — the next sample point is drawn from the
-    window's anchor, and draws landing inside an already-planned window
-    extent are dropped as ``dropped_busy``.  The planned windows then
-    run independently, serially or fanned across worker processes
-    (``spec.window_workers``), and merge in plan order onto one cycle
-    axis.  Worker count can never change results:
-    ``tests/engine/test_twospeed_batched.py`` pins serial/parallel
-    byte-equality.
-
-    Documented approximation vs chained mode: each window starts from
-    *functionally* warmed state — the previous windows' detailed-core
-    effects on caches and predictor (wrong-path pollution, speculative
-    BTB updates) are not visible to later windows, and the inter-window
-    skip is measured in functional retirements for the window extent.
-    Architectural state is exact (the committed path is
-    engine-independent).
-    """
-    from repro.engine.parallel import run_windows
-    from repro.engine.session import CoreStats, SessionResult
-
-    profile = spec.profile
-    program = spec.program
-    machine_config = spec.config or MachineConfig.alpha21264_like()
-    window = spec.window
-    warmup = max(1, window // WARMUP_DIVISOR)
-
-    warm = WarmState(
-        hierarchy=MemoryHierarchy(machine_config.memory),
-        predictor=BranchPredictor(machine_config.predictor))
-    interp = Interpreter(program)
-    cache = BlockCache(program)
-    scheduler_rng = SamplingRng(profile.seed)
-
-    def next_interval():
-        if profile.distribution == "geometric":
-            return scheduler_rng.geometric_interval(profile.mean_interval)
-        return scheduler_rng.interval(profile.mean_interval, profile.jitter)
-
-    stats = TwoSpeedStats(warmup=warmup)
-    unit_stats = ProfileMeStats()
-    total_retired = 0
-    max_retired = spec.max_retired
-    state = interp.state
-    plans = []
-
-    countdown = next_interval()
-    while not state.halted:
-        if max_retired is not None and total_retired >= max_retired:
-            break
-        lead = countdown if countdown < warmup else warmup
-        skip = countdown - lead
-        if max_retired is not None:
-            skip = min(skip, max_retired - total_retired)
-        if skip:
-            done = fast_forward(interp, warm, skip, cache=cache)
-            total_retired += done
-            stats.fast_forwarded += done
-            if state.halted:
-                break
-        if max_retired is not None and total_retired >= max_retired:
-            break
-
-        limit = window
-        if max_retired is not None:
-            limit = min(limit, max_retired - total_retired)
-        plans.append(WindowPlan(index=len(plans),
-                                snapshot=state.snapshot(),
-                                warm=copy.deepcopy(warm),
-                                lead=lead, limit=limit))
-        # Advance functionally across the window extent: the committed
-        # path is engine-independent, so this lands on exactly the
-        # architectural state the detailed window will retire up to.
-        done = fast_forward(interp, warm, limit, cache=cache)
-        total_retired += done
-
-        countdown = next_interval() - (done - lead)
-        while countdown <= 0:
-            # Sample point inside the extent of the window just planned:
-            # same free-running-counter rule as the chained scheduler.
-            stats.skipped_samples += 1
-            unit_stats.selections += 1
-            unit_stats.dropped_busy += 1
-            countdown += next_interval()
-
-    driver = ProfileMeDriver(keep_records=spec.keep_records)
-    database = driver.add_sink(
-        ProfileDatabase(keep_addresses=spec.keep_addresses))
-    pair_analyzer = None
-    if profile.effective_group_size >= 2:
-        pair_analyzer = driver.add_sink(PairAnalyzer(
-            mean_interval=profile.mean_interval,
-            pair_window=profile.pair_window,
-            issue_width=machine_config.issue_width))
-    push_sink = None
-    if spec.push_to:
-        from repro.service.client import ProfileClient, ServiceSink
-
-        push_sink = driver.add_sink(ServiceSink(ProfileClient(spec.push_to)))
-
-    results = run_windows(program, machine_config, profile, plans,
-                          workers=spec.window_workers)
-
-    fetched = aborted = mispredicts = 0
-    cycle_base = 0
-    for result in results:
-        driver.handle_interrupt([_rebase(sample, cycle_base)
-                                 for sample in result.records])
-        cycle_base += result.cycles
-        _merge_unit_stats(unit_stats, result.unit_stats)
-        stats.windows += 1
-        stats.detailed_retired += result.retired
-        stats.detailed_cycles += result.cycles
-        fetched += result.fetched
-        aborted += result.aborted
-        mispredicts += result.mispredicts
-
-    if push_sink is not None:
-        push_sink.close()
-
-    stats.final_state = state.snapshot()
-    cycles = stats.detailed_cycles
-    ipc = (stats.detailed_retired / cycles) if cycles else 0.0
-    core_stats = CoreStats(cycles=cycles, retired=total_retired,
-                           fetched=fetched, aborted=aborted,
-                           mispredicts=mispredicts, ipc=ipc)
-    return SessionResult(
-        spec=spec, core=None, cycles=cycles, stats=core_stats,
-        unit=None, driver=driver, database=database,
-        pair_analyzer=pair_analyzer, truth=None, counter=None,
-        sampling_stats=unit_stats, two_speed=stats)

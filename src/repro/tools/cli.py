@@ -99,11 +99,7 @@ def cmd_profile(args):
     spec_kwargs = dict(program=program, core_kind=args.core,
                        profile=profile, keep_addresses=args.keep_addresses)
     if args.mode == "two-speed":
-        spec_kwargs.update(exec_mode="two-speed", window=args.window,
-                           batch_windows=args.batch_windows,
-                           window_workers=args.window_workers)
-    elif args.batch_windows:
-        raise ConfigError("--batch-windows requires --mode two-speed")
+        spec_kwargs.update(exec_mode="two-speed", window=args.window)
     run = run_session(SessionSpec(**spec_kwargs))
 
     stats = run.stats
@@ -921,14 +917,6 @@ def build_parser():
     p.add_argument("--window", type=int, default=2000,
                    help="two-speed detailed-window length in retired "
                         "instructions (first quarter is pipeline warm-up)")
-    p.add_argument("--batch-windows", action="store_true",
-                   help="two-speed only: plan every detailed window in "
-                        "one functional pass, then run the windows "
-                        "independently (see docs/architecture.md for the "
-                        "warm-state approximation this accepts)")
-    p.add_argument("--window-workers", type=int, default=1,
-                   help="processes to fan batched windows across "
-                        "(byte-identical results at any worker count)")
     p.add_argument("--register-sets", type=int, default=1)
     p.add_argument("--core", choices=("ooo", "inorder"), default="ooo")
     p.add_argument("--seed", type=int, default=1)

@@ -178,6 +178,33 @@ def test_detailed_canonical_form_omits_two_speed_fields():
         assert "window" not in canonical, name
 
 
+# Two-speed keys name sweep checkpoints too: a change to canonical()
+# must not move them, or every cached two-speed result silently
+# invalidates.  These hex digests were captured from the tree that
+# still had the batched-window scheduler (and its canonical() branch);
+# regenerating them to make this test pass defeats its purpose.
+
+PINNED_TWO_SPEED_KEYS = {
+    "chained": "716c551698bdf135b97ba956e836776f732d7ce022461a8f0e440f752a863b74",
+    "paired_window": "8ccd0e91ca49294da11b76a9a3e7f03d44d2de1baccae0db47d42d4f6250b442",
+}
+
+
+def _pinned_two_speed_specs():
+    return {
+        "chained": _base_spec(exec_mode="two-speed"),
+        "paired_window": _base_spec(
+            profile=ProfileMeConfig(mean_interval=25, paired=True, seed=7),
+            exec_mode="two-speed", window=1000, keep_records=False,
+            max_retired=10_000),
+    }
+
+
+def test_two_speed_keys_match_pins():
+    for name, spec in _pinned_two_speed_specs().items():
+        assert spec_key(spec) == PINNED_TWO_SPEED_KEYS[name], name
+
+
 def test_two_speed_fields_move_the_key():
     base = _base_spec()
     two_speed = dataclasses.replace(base, exec_mode="two-speed")

@@ -184,6 +184,25 @@ class TestTwoSpeedSession:
         assert final.memory == ref.state.memory.snapshot()
         assert result.stats.retired == ref.retired
 
+    @pytest.mark.parametrize("name", ["compress", "li", "go"])
+    def test_truncated_run_matches_interpreter_exactly(self, name):
+        # A max_retired cut lands mid-program; the committed state must
+        # still equal the interpreter's after the same retired count.
+        program = suite_program(name, scale=4)
+        result = run_session(_two_speed_spec(
+            program, profile=ProfileMeConfig(mean_interval=61, seed=13),
+            window=300, max_retired=25_000))
+        ref = Interpreter(program)
+        for _ in ref.run(max_instructions=result.stats.retired):
+            pass
+        reference = ref.state.snapshot()
+
+        final = result.two_speed.final_state
+        assert not final.halted
+        assert final.regs == reference.regs
+        assert final.pc == reference.pc
+        assert final.memory == reference.memory
+
     def test_accounting_is_consistent(self):
         program = suite_program("compress", scale=1)
         result = run_session(_two_speed_spec(program))
@@ -223,6 +242,10 @@ class TestTwoSpeedSession:
         # S << window forces sample points inside already-run windows.
         assert stats.skipped_samples > 0
         assert result.sampling_stats.dropped_busy >= stats.skipped_samples
+        # Every dropped draw was still a selection of the free-running
+        # counter.
+        assert (result.sampling_stats.selections
+                >= result.sampling_stats.dropped_busy)
 
     def test_validation_rejects_bad_two_speed_specs(self):
         program = counting_loop(iterations=20)

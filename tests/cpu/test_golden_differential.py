@@ -18,6 +18,7 @@ optimization.  Regenerate with::
     PYTHONPATH=src python tests/cpu/test_golden_differential.py --regen
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -43,6 +44,23 @@ WORKLOADS = ("suite:compress", "suite:li", "kernel:dep_chain",
 SMT_PAIRS = (("suite:compress", "kernel:dep_chain"),
              ("suite:li", "classic:daxpy"))
 MODES = (CountMode.INSTRUCTIONS, CountMode.FETCH_OPPORTUNITIES)
+# Group-sampling variants on the out-of-order core, as (ProfileMeConfig
+# overrides, SessionSpec overrides).  Paired sampling drives the minor
+# counter; "nway" adds replicated register sets and buffered interrupts
+# whose fetch stalls fall between counter expirations; the two-speed
+# case re-arms a one-shot major counter per detailed window.
+VARIANTS = {
+    "paired": ({"paired": True}, {}),
+    "nway": ({"group_size": 3, "register_sets": 2, "buffer_depth": 4,
+              "interrupt_cost_cycles": 20}, {}),
+    "two-speed-paired": ({"paired": True, "mean_interval": 400},
+                         {"exec_mode": "two-speed", "window": 300}),
+}
+VARIANT_WORKLOADS = {
+    "paired": WORKLOADS,
+    "nway": ("suite:compress", "suite:li"),
+    "two-speed-paired": ("suite:compress", "suite:li"),
+}
 
 
 def build_workload(name):
@@ -65,6 +83,10 @@ def iter_cases():
         for pair in SMT_PAIRS:
             yield "%s+%s/smt/%s" % (pair[0], pair[1], mode.value), \
                 pair, "smt", mode
+        for variant, names in VARIANT_WORKLOADS.items():
+            for name in names:
+                yield "%s/ooo/%s/%s" % (name, variant, mode.value), \
+                    (name,), "ooo", mode, variant
     # No-probe runs (mode None -> no ProfileMe unit attached) pin the
     # probe-free fast paths: guarded Event-OR and publish skips must not
     # change timing on either single-context core.
@@ -77,19 +99,25 @@ def iter_cases():
 CASES = list(iter_cases())
 
 
-def capture_case(names, core_kind, mode):
-    profile = (ProfileMeConfig(mean_interval=40, seed=5, mode=mode)
-               if mode is not None else None)
+def capture_case(names, core_kind, mode, variant=None):
+    profile_options, spec_options = VARIANTS.get(variant, ({}, {}))
+    profile = None
+    if mode is not None:
+        profile = ProfileMeConfig(**dict({"mean_interval": 40, "seed": 5,
+                                          "mode": mode}, **profile_options))
     programs = tuple(build_workload(name) for name in names)
     if core_kind == "smt":
         spec = SessionSpec(programs=programs, core_kind="smt",
                            profile=profile, keep_records=False)
     else:
         spec = SessionSpec(program=programs[0], core_kind=core_kind,
-                           profile=profile, keep_records=False)
+                           profile=profile, keep_records=False,
+                           **spec_options)
     result = run_session(spec)
     core = result.core
-    if core_kind == "smt":
+    if core is None:
+        registers = list(result.two_speed.final_state.regs)
+    elif core_kind == "smt":
         registers = [list(thread.architectural_registers())
                      for thread in core.threads]
     else:
@@ -106,6 +134,11 @@ def capture_case(names, core_kind, mode):
         database = canonical_json(result.database.to_dict())
         captured["db_total_samples"] = result.database.total_samples
         captured["db_sha256"] = hashlib.sha256(database.encode()).hexdigest()
+    if variant is not None:
+        unit_stats = result.sampling_stats or result.unit.stats
+        captured["unit_stats"] = dataclasses.asdict(unit_stats)
+        if result.two_speed is not None:
+            captured["windows"] = result.two_speed.windows
     return captured
 
 
@@ -119,13 +152,13 @@ def golden():
     return load_golden()
 
 
-@pytest.mark.parametrize("label,names,core_kind,mode",
-                         CASES, ids=[case[0] for case in CASES])
-def test_matches_golden(golden, label, names, core_kind, mode):
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_matches_golden(golden, case):
+    label = case[0]
     assert label in golden, (
         "no golden entry for %s — regenerate the fixture for intentional "
         "matrix changes" % label)
-    assert capture_case(names, core_kind, mode) == golden[label]
+    assert capture_case(*case[1:]) == golden[label]
 
 
 def test_golden_covers_every_case():
@@ -135,8 +168,9 @@ def test_golden_covers_every_case():
 
 def regenerate():
     golden = {}
-    for label, names, core_kind, mode in CASES:
-        golden[label] = capture_case(names, core_kind, mode)
+    for case in CASES:
+        label = case[0]
+        golden[label] = capture_case(*case[1:])
         print("captured", label)
     with GOLDEN_PATH.open("w") as stream:
         json.dump(golden, stream, indent=1, sort_keys=True)

@@ -207,6 +207,9 @@ class InOrderCore(CoreBase):
             callback(dyninst, issue)
         for callback in bus.retire:
             callback(dyninst, retire)
+        if dyninst.profile_tag is not None:
+            for callback in bus.tagged_retire:
+                callback(dyninst, retire)
         for callback in bus.cycle_end:
             callback(self.cycle)
 

@@ -210,11 +210,17 @@ class OutOfOrderCore(CoreBase):
 
     def _fetch(self, cycle):
         width = self.config.fetch_width
-        # Fast path: fetch-slot objects exist only for observers.  With
-        # no on_fetch_slots subscriber the fetcher skips building them
-        # (and the publish) entirely — this fires every cycle, so it is
-        # the single hottest dispatch point in the model.
-        publish = self.bus.fetch_slots
+        # Fast path: fetch-slot objects exist only for observers, and a
+        # fetch-countdown owner (the ProfileMe counters, see engine.bus)
+        # needs them only on a cycle whose counted slots can reach its
+        # countdown.  On every other cycle the fetcher subtracts the
+        # counted slots from the countdown instead.  This fires every
+        # cycle, so it is the single hottest dispatch point in the model.
+        bus = self.bus
+        subscribed = bus.fetch_slots
+        every_cycle = bus.fetch_every_cycle
+        publish = subscribed and (every_cycle or bus.fetch_countdown <= width)
+        count_all = not bus.fetch_counts_instructions
         slots = [] if publish else None
         can_fetch = (cycle >= self.fetch_stall_until
                      and self.fetch_pc is not None
@@ -229,8 +235,11 @@ class OutOfOrderCore(CoreBase):
                 can_fetch = False
 
         if not can_fetch:
-            if publish:
+            # A stalled cycle counts fetch opportunities, not instructions.
+            if every_cycle or (publish and count_all):
                 self._publish_slots(cycle, [empty_slot()] * width)
+            elif subscribed and count_all:
+                bus.fetch_countdown -= width
             return
 
         block_bytes = width * INSTRUCTION_BYTES
@@ -251,6 +260,7 @@ class OutOfOrderCore(CoreBase):
             pc = self.fetch_pc
 
         taken = False
+        first_fetched = self.fetched
         fetch_or_none = self.program.fetch_or_none
         enqueue = self.fetch_queue.append
         predict = self._predict
@@ -273,6 +283,9 @@ class OutOfOrderCore(CoreBase):
             self.fetch_pc = next_pc
 
         if not publish:
+            if subscribed:
+                bus.fetch_countdown -= (width if count_all
+                                        else self.fetched - first_fetched)
             return
         if taken:
             # Slots after a predicted-taken branch hold off-path
@@ -703,8 +716,12 @@ class OutOfOrderCore(CoreBase):
         dyninst.events |= _ABORT_EVENTS
         dyninst.abort_reason = reason
         self.aborted += 1
-        for callback in self.bus.abort:
+        bus = self.bus
+        for callback in bus.abort:
             callback(dyninst, cycle)
+        if dyninst.profile_tag is not None:
+            for callback in bus.tagged_abort:
+                callback(dyninst, cycle)
 
     # ------------------------------------------------------------------
     # Retire.
@@ -744,6 +761,9 @@ class OutOfOrderCore(CoreBase):
 
             for callback in retire_subs:
                 callback(head, cycle)
+            if head.profile_tag is not None:
+                for callback in self.bus.tagged_retire:
+                    callback(head, cycle)
             count += 1
             if inst.op is Opcode.HALT:
                 self.halted = True

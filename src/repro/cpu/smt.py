@@ -55,10 +55,16 @@ class _Relay(Probe):
     def on_retire(self, dyninst, cycle):
         for callback in self._bus.retire:
             callback(dyninst, cycle)
+        if dyninst.profile_tag is not None:
+            for callback in self._bus.tagged_retire:
+                callback(dyninst, cycle)
 
     def on_abort(self, dyninst, cycle):
         for callback in self._bus.abort:
             callback(dyninst, cycle)
+        if dyninst.profile_tag is not None:
+            for callback in self._bus.tagged_abort:
+                callback(dyninst, cycle)
 
 
 class SmtCore(CoreBase):

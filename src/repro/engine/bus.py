@@ -14,7 +14,38 @@ just the dispatch but the *event construction* (e.g. building fetch-slot
 objects nobody will look at).  This is the subscription-over-core
 structure mature simulators use for introspection (cf. the Simics probe
 framework).
+
+A probe pays only while it has something to observe.  Three narrower
+subscriptions let a sampling probe (the ProfileMe unit) avoid a call per
+event:
+
+* **Fetch countdown** (:meth:`ProbeBus.count_fetch_slots`): the probe's
+  ``on_fetch_slots`` acts only when a down-counter expires.  It keeps
+  ``fetch_countdown`` at the number of counted slots (predicted-path
+  instructions, or every fetch opportunity) that can pass without an
+  expiry.  A core that honours the countdown (the out-of-order core)
+  publishes slots only on a cycle whose counted slots can reach it and
+  otherwise subtracts them from ``fetch_countdown``; it never does both
+  in one cycle, so the probe recovers the unseen count as the difference
+  from the value it last wrote.  While any other probe subscribes to
+  ``on_fetch_slots``, ``fetch_every_cycle`` is set and slots are
+  published every cycle, as they are on cores that ignore the countdown
+  (in-order, the SMT relays).
+* **Tagged instructions** (:meth:`ProbeBus.deliver_tagged_only`): the
+  probe's ``on_retire``/``on_abort`` sit on ``tagged_retire`` /
+  ``tagged_abort`` and fire only for DynInsts carrying a
+  ``profile_tag``, after the untagged subscribers.
+* **On-demand callbacks** (:meth:`ProbeBus.unsubscribe_callback` /
+  :meth:`ProbeBus.subscribe_callback`): a probe switches one callback
+  off while it has nothing to wait for — the ProfileMe unit listens to
+  ``on_cycle_end`` only while a retired load's fill is outstanding.
+
+Every change of subscription rebuilds the lists as new list objects, so
+a probe may (un)subscribe from inside a dispatch loop: the loop keeps
+iterating the list it started with.
 """
+
+import sys
 
 from repro.cpu.probes import Probe
 
@@ -30,6 +61,15 @@ _LISTS = {
     "on_abort": "abort",
     "on_cycle_end": "cycle_end",
 }
+
+# Callbacks deliver_tagged_only() narrows, and the lists they move to.
+_TAGGED_LISTS = {
+    "on_retire": "tagged_retire",
+    "on_abort": "tagged_abort",
+}
+
+# fetch_countdown while no counter is armed: never reached.
+COUNTDOWN_IDLE = sys.maxsize
 
 
 def probe_overrides(probe, name):
@@ -50,28 +90,31 @@ class ProbeBus:
     """Subscriber lists for each probe callback, built at attach time.
 
     The per-callback attributes (``fetch_slots``, ``issue``, ``retire``,
-    ``abort``, ``cycle_end``) hold bound methods in attach order; cores
-    iterate them directly on the hot path.  ``probes`` preserves the
-    full attach-ordered probe list for introspection and compatibility.
+    ``abort``, ``cycle_end``, ``tagged_retire``, ``tagged_abort``) hold
+    bound methods in attach order; cores iterate them directly on the
+    hot path.  ``probes`` preserves the full attach-ordered probe list
+    for introspection and compatibility.
     """
 
     __slots__ = ("probes", "fetch_slots", "issue", "retire", "abort",
-                 "cycle_end")
+                 "cycle_end", "tagged_retire", "tagged_abort",
+                 "fetch_every_cycle", "fetch_countdown",
+                 "fetch_counts_instructions", "_counter", "_tagged",
+                 "_unsubscribed")
 
     def __init__(self):
         self.probes = []
-        self.fetch_slots = []
-        self.issue = []
-        self.retire = []
-        self.abort = []
-        self.cycle_end = []
+        self.fetch_countdown = COUNTDOWN_IDLE
+        self.fetch_counts_instructions = True
+        self._counter = None  # the probe owning fetch_countdown
+        self._tagged = set()  # id() of probes taking tagged events only
+        self._unsubscribed = set()  # (id(probe), callback name)
+        self._rebuild()
 
     def subscribe(self, probe):
         """Register *probe*, wiring only the callbacks it implements."""
         self.probes.append(probe)
-        for name, attr in _LISTS.items():
-            if probe_overrides(probe, name):
-                getattr(self, attr).append(getattr(probe, name))
+        self._rebuild()
         return probe
 
     def detach(self, probe):
@@ -85,32 +128,64 @@ class ProbeBus:
         detach is a lifecycle bug worth hearing about.
         """
         self.probes.remove(probe)
-        for name, attr in _LISTS.items():
-            setattr(self, attr, [getattr(p, name) for p in self.probes
-                                 if probe_overrides(p, name)])
+        if probe is self._counter:
+            self._counter = None
+            self.fetch_countdown = COUNTDOWN_IDLE
+        self._tagged.discard(id(probe))
+        self._unsubscribed = {entry for entry in self._unsubscribed
+                              if entry[0] != id(probe)}
+        self._rebuild()
         return probe
+
+    def count_fetch_slots(self, probe, instructions):
+        """Make *probe* the owner of the fetch countdown.
+
+        *instructions* says what one count is: a predicted-path
+        instruction (True) or a fetch opportunity (False).  Returns
+        False, leaving *probe* an every-cycle subscriber, when another
+        probe already owns the countdown.
+        """
+        if self._counter is not None and self._counter is not probe:
+            return False
+        self._counter = probe
+        self.fetch_counts_instructions = instructions
+        self._rebuild()
+        return True
+
+    def deliver_tagged_only(self, probe):
+        """Call *probe*'s on_retire/on_abort only for tagged DynInsts."""
+        self._tagged.add(id(probe))
+        self._rebuild()
+
+    def unsubscribe_callback(self, probe, name):
+        """Stop calling *probe*'s callback *name* until resubscribed."""
+        self._unsubscribed.add((id(probe), name))
+        self._rebuild()
+
+    def subscribe_callback(self, probe, name):
+        """Resume calling *probe*'s callback *name*."""
+        self._unsubscribed.discard((id(probe), name))
+        self._rebuild()
 
     def subscriptions(self, probe):
         """The callback names *probe* is subscribed to (for tests/tools)."""
         return tuple(name for name in PROBE_CALLBACKS
-                     if probe_overrides(probe, name))
+                     if self._delivers(probe, name))
 
-    def publish_fetch_slots(self, cycle, slots):
-        for callback in self.fetch_slots:
-            callback(cycle, slots)
+    def _delivers(self, probe, name):
+        return (probe_overrides(probe, name)
+                and (id(probe), name) not in self._unsubscribed)
 
-    def publish_issue(self, dyninst, cycle):
-        for callback in self.issue:
-            callback(dyninst, cycle)
-
-    def publish_retire(self, dyninst, cycle):
-        for callback in self.retire:
-            callback(dyninst, cycle)
-
-    def publish_abort(self, dyninst, cycle):
-        for callback in self.abort:
-            callback(dyninst, cycle)
-
-    def publish_cycle_end(self, cycle):
-        for callback in self.cycle_end:
-            callback(cycle)
+    def _rebuild(self):
+        for name, attr in _LISTS.items():
+            setattr(self, attr, [
+                getattr(p, name) for p in self.probes
+                if self._delivers(p, name)
+                and not (name in _TAGGED_LISTS and id(p) in self._tagged)])
+        for name, attr in _TAGGED_LISTS.items():
+            setattr(self, attr, [
+                getattr(p, name) for p in self.probes
+                if id(p) in self._tagged and self._delivers(p, name)])
+        self.fetch_every_cycle = any(
+            p is not self._counter for p in self.probes
+            if self._delivers(p, "on_fetch_slots"))

@@ -21,7 +21,7 @@ The yield difference between the two modes is quantified by
 import enum
 
 from repro.cpu.probes import SLOT_INST
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 
 class CountMode(enum.Enum):
@@ -32,47 +32,54 @@ class CountMode(enum.Enum):
 
 
 class FetchedInstructionCounter:
-    """Software-writable countdown over the fetch stream."""
+    """Software-writable down-counter over the fetch stream.
+
+    ``remaining`` is the number of counted slots left before the counter
+    fires (None while disarmed).  The fetcher counts down in bulk while
+    the counter cannot expire and walks a cycle's :meth:`counted` slots
+    one at a time only on a cycle where it can; the slot on which
+    :meth:`advance` reaches zero is the selected one.
+    """
 
     def __init__(self, mode=CountMode.INSTRUCTIONS):
         if not isinstance(mode, CountMode):
             raise ConfigError("mode must be a CountMode, got %r" % (mode,))
         self.mode = mode
-        self._remaining = None  # None = disarmed
+        self.remaining = None  # None = disarmed
 
     @property
     def armed(self):
-        return self._remaining is not None
+        return self.remaining is not None
 
     def write(self, value):
         """Arm the counter with *value* (the software's random interval)."""
         if value < 1:
             raise ConfigError("counter value must be >= 1, got %r" % (value,))
-        self._remaining = value
+        self.remaining = value
 
     def disarm(self):
-        self._remaining = None
+        self.remaining = None
 
-    def tick(self, slot):
-        """Advance over one fetch slot; True if the counter fired on it."""
-        if self._remaining is None:
-            return False
-        if self.mode is CountMode.INSTRUCTIONS and slot.kind != SLOT_INST:
-            return False
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._remaining = None
-            return True
-        return False
+    def counted(self, slots):
+        """The slots of one cycle that decrement the counter, in order."""
+        if self.mode is CountMode.FETCH_OPPORTUNITIES:
+            return slots
+        return [slot for slot in slots if slot.kind == SLOT_INST]
 
-    def consume(self, slots):
-        """Advance over one cycle's fetch slots.
+    def advance(self, count):
+        """Count down *count* slots; True if the counter fired on the last.
 
-        Returns the index of the selected slot, or None if the counter did
-        not reach zero this cycle.  The caller decides what to do when the
-        selected slot holds no usable instruction.
+        A fired counter disarms.  Counting past zero means a fetcher
+        skipped the slot the counter should have landed on, which is a
+        simulator bug, so it raises rather than selecting late.
         """
-        for index, slot in enumerate(slots):
-            if self.tick(slot):
-                return index
-        return None
+        if self.remaining is None:
+            return False
+        if count > self.remaining:
+            raise SimulationError("fetch counter overshot: %d counted with "
+                                  "%d remaining" % (count, self.remaining))
+        self.remaining -= count
+        if self.remaining:
+            return False
+        self.remaining = None
+        return True

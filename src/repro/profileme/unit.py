@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpu.probes import Probe, SLOT_EMPTY, SLOT_INST, SLOT_OFFPATH
+from repro.engine.bus import COUNTDOWN_IDLE
 from repro.errors import ConfigError
 from repro.events import AbortReason, Event
 from repro.profileme.fetch_counter import CountMode, FetchedInstructionCounter
@@ -173,6 +174,10 @@ class ProfileMeUnit(Probe):
         self.stats = ProfileMeStats()
         self.buffer = []
         self.core = None
+        # The core's bus while this unit owns its fetch countdown, and
+        # the countdown value last written to it (see engine.bus).
+        self._bus = None
+        self._countdown = COUNTDOWN_IDLE
 
         self.last_record = None  # most recently latched ProfileRecord
         self._groups = []  # in-flight groups, oldest first
@@ -189,8 +194,17 @@ class ProfileMeUnit(Probe):
 
     def attach(self, core):
         self.core = core
+        bus = core.bus
+        # Only tagged instructions can complete a sample, and
+        # on_cycle_end matters only while a fill is awaited.
+        bus.deliver_tagged_only(self)
+        bus.unsubscribe_callback(self, "on_cycle_end")
+        if bus.count_fetch_slots(
+                self, self.config.mode is CountMode.INSTRUCTIONS):
+            self._bus = bus
         if self.auto_rearm:
             self._arm_major()
+        self._write_countdown()
 
     def arm_major_at(self, value):
         """Software write of the fetched-instruction counter (section 4.1).
@@ -198,7 +212,28 @@ class ProfileMeUnit(Probe):
         Arms the major counter to fire after *value* counted slots;
         with ``auto_rearm=False`` this is the only way it ever arms.
         """
+        self._catch_up()
         self.major.write(value)
+        self._write_countdown()
+
+    def _catch_up(self):
+        """Count down the slots the core counted without publishing."""
+        if self._bus is None:
+            return
+        elapsed = self._countdown - self._bus.fetch_countdown
+        if elapsed:
+            self.major.advance(elapsed)
+            self.minor.advance(elapsed)
+
+    def _write_countdown(self):
+        """Tell the core how many counted slots can pass unobserved."""
+        if self._bus is None:
+            return
+        countdown = min((counter.remaining
+                         for counter in (self.major, self.minor)
+                         if counter.remaining is not None),
+                        default=COUNTDOWN_IDLE)
+        self._countdown = self._bus.fetch_countdown = countdown
 
     def _arm_major(self):
         if self.config.distribution == "geometric":
@@ -218,10 +253,13 @@ class ProfileMeUnit(Probe):
     # Fetch-side selection.
 
     def on_fetch_slots(self, cycle, slots):
-        for slot in slots:
-            if self.minor.armed and self.minor.tick(slot):
+        self._catch_up()
+        major, minor = self.major, self.minor
+        # Both counters count in the configured mode.
+        for slot in major.counted(slots):
+            if minor.advance(1):
                 self._select_member(self._selecting_group, slot, cycle)
-            if self.major.tick(slot):
+            if major.advance(1):
                 self.stats.selections += 1
                 if (len(self._groups) >= self.config.register_sets
                         or self._selecting_group is not None):
@@ -233,6 +271,7 @@ class ProfileMeUnit(Probe):
                     self._start_group(slot, cycle)
                 if self.auto_rearm:
                     self._arm_major()
+        self._write_countdown()
 
     def _start_group(self, slot, cycle):
         group = _SampleGroup(self.config.effective_group_size)
@@ -313,8 +352,6 @@ class ProfileMeUnit(Probe):
         self._maybe_capture(dyninst, cycle)
 
     def _maybe_capture(self, dyninst, cycle):
-        if dyninst.profile_tag is None:
-            return
         entry = self._pending.pop(id(dyninst), None)
         if entry is None:
             return
@@ -324,6 +361,8 @@ class ProfileMeUnit(Probe):
                 and dyninst.load_complete_cycle is None):
             # The load retired ahead of its data; hold the register set
             # until the fill latches Load-issue->Completion.
+            if not self._awaiting_fill:
+                self.core.bus.subscribe_callback(self, "on_cycle_end")
             self._awaiting_fill.append((dyninst, group, ordinal))
             return
         self._latch(dyninst, group, ordinal, cycle)
@@ -339,8 +378,6 @@ class ProfileMeUnit(Probe):
             self._complete_group(group)
 
     def on_cycle_end(self, cycle):
-        if not self._awaiting_fill:
-            return
         still_waiting = []
         for dyninst, group, ordinal in self._awaiting_fill:
             if dyninst.load_complete_cycle is not None:
@@ -348,6 +385,8 @@ class ProfileMeUnit(Probe):
             else:
                 still_waiting.append((dyninst, group, ordinal))
         self._awaiting_fill = still_waiting
+        if not still_waiting:
+            self.core.bus.unsubscribe_callback(self, "on_cycle_end")
 
     # ------------------------------------------------------------------
     # Delivery.
@@ -451,9 +490,13 @@ class ProfileMeUnit(Probe):
         """
         for dyninst, group, ordinal in self._awaiting_fill:
             self._latch(dyninst, group, ordinal, dyninst.retire_cycle)
-        self._awaiting_fill = []
+        if self._awaiting_fill:
+            self._awaiting_fill = []
+            self.core.bus.unsubscribe_callback(self, "on_cycle_end")
+        self._catch_up()
         self._selecting_group = None
         self.minor.disarm()
+        self._write_countdown()
         for group in list(self._groups):
             if group.expected == 0:
                 group.selections = group.size  # stop selecting

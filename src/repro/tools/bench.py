@@ -1,12 +1,15 @@
 """`repro bench`: the committed simulator-throughput trajectory.
 
 Runs a pinned workload set on all three cores (out-of-order, in-order,
-SMT) with no probes attached — the configuration the ROADMAP's
-"as fast as the hardware allows" north star is about — and writes a
+SMT) with no probes attached, plus one out-of-order row with paired
+ProfileMe sampling on (what profiling costs), and writes a
 ``BENCH_core_throughput.json`` document carrying cycles/s, retired
-instructions/s, machine info, and the git revision.  Committing the
-document per PR turns isolated numbers into a perf trajectory, and
-``diff_lines`` renders the comparison against the committed baseline.
+instructions/s, machine info, and the git revision.  The ``--quick``
+flavour runs smaller rows and has its own committed document,
+``BENCH_core_throughput_quick.json``, so every quick row has a
+baseline.  Committing the documents per PR turns isolated numbers into
+a perf trajectory, and ``diff_lines`` renders the comparison against
+the committed baseline.
 
 The pinned set is deliberately small and fixed: trajectory points are
 only comparable if every PR measures the same work.  Simulated cycle
@@ -28,6 +31,7 @@ from repro.workloads.suite import suite_program
 BENCH_KIND = "repro-bench-core-throughput"
 BENCH_VERSION = 1
 DEFAULT_OUTPUT = "BENCH_core_throughput.json"
+QUICK_OUTPUT = "BENCH_core_throughput_quick.json"
 
 # (workload, scale) per single-context core; one pair for SMT.
 FULL_WORKLOADS = (("compress", 2), ("gcc", 1), ("li", 1))
@@ -53,6 +57,16 @@ TWOSPEED_QUICK = ("compress", 2, 5_000, 400)
 # its determinism guard and retired instr/s its throughput.
 INTERP_FULL = (("compress", 12), ("li", 8))
 INTERP_QUICK = (("compress", 4),)
+
+# ProfileMe-on row, in both flavours: paired sampling on the detailed
+# out-of-order core over branchy gcc, (workload, scale, mean_interval).
+# `samples` is its determinism guard.
+PROFILEME_ROW = ("gcc", 1, 100)
+
+
+def default_output(quick):
+    """The committed document of the *quick* or full flavour."""
+    return QUICK_OUTPUT if quick else DEFAULT_OUTPUT
 
 
 def git_revision():
@@ -189,6 +203,15 @@ def run_bench(quick=False, repeats=None, progress=None):
     smt_spec = SessionSpec(programs=smt_programs, core_kind="smt",
                            max_cycles=SMT_MAX_CYCLES)
     results["smt"][pair_label] = _measure(smt_spec, repeats)
+
+    name, wl_scale, interval = PROFILEME_ROW
+    label = "%s@%d/S=%d/paired" % (name, wl_scale, interval)
+    if progress:
+        progress("profileme/%s" % label)
+    results["profileme"] = {label: _measure(SessionSpec(
+        program=suite_program(name, scale=wl_scale),
+        profile=ProfileMeConfig(mean_interval=interval, seed=7, paired=True),
+        keep_records=False), repeats)}
 
     results["interpreter"] = _measure_interpreter(quick, repeats, progress)
     results["twospeed"] = _measure_twospeed(quick, progress)

@@ -834,9 +834,11 @@ def cmd_bench(args):
 
     # Load the baseline up front: with default arguments --out IS the
     # committed baseline file, so it must be read before the overwrite.
+    committed = bench.default_output(args.quick)
+    out = args.out or committed
     baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(bench.DEFAULT_OUTPUT):
-        baseline_path = bench.DEFAULT_OUTPUT
+    if baseline_path is None and os.path.exists(committed):
+        baseline_path = committed
     baseline = None
     if baseline_path:
         try:
@@ -851,8 +853,8 @@ def cmd_bench(args):
 
     document = bench.run_bench(quick=args.quick, repeats=args.repeats,
                                progress=progress)
-    bench.save_document(document, args.out)
-    print("wrote %s (rev %s)" % (args.out, document["git_rev"]))
+    bench.save_document(document, out)
+    print("wrote %s (rev %s)" % (out, document["git_rev"]))
     for kind in sorted(document["results"]):
         for label, entry in sorted(document["results"][kind].items()):
             line = ("  %s/%s: %d cycles in %.3fs = %d cycles/s, "
@@ -1146,11 +1148,15 @@ def build_parser():
     p.add_argument("--repeats", type=int, default=None,
                    help="timing repeats per case (default: 3, 1 with "
                         "--quick); best run is kept")
-    p.add_argument("--out", default="BENCH_core_throughput.json",
-                   help="where to write the result document")
+    p.add_argument("--out", default=None,
+                   help="where to write the result document (default: "
+                        "the committed document of the flavour run, "
+                        "BENCH_core_throughput.json or "
+                        "BENCH_core_throughput_quick.json)")
     p.add_argument("--baseline", default=None,
                    help="bench document to diff against (default: the "
-                        "committed BENCH_core_throughput.json if present)")
+                        "committed document of the same flavour if "
+                        "present)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("paths", help="path-reconstruction analysis")

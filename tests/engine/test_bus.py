@@ -206,3 +206,67 @@ class TestCoreDispatch:
         core = OutOfOrderCore(tiny_program)
         probe = core.add_probe(RetireOnly())
         assert core.probes == [probe]
+
+
+class FetchOnly(Probe):
+    def on_fetch_slots(self, cycle, slots):
+        pass
+
+
+class TestNarrowSubscriptions:
+    def test_countdown_owner_alone_is_not_every_cycle(self):
+        bus = ProbeBus()
+        owner = bus.subscribe(FetchOnly())
+        assert bus.fetch_every_cycle
+        assert bus.count_fetch_slots(owner, instructions=False)
+        assert not bus.fetch_every_cycle
+        assert not bus.fetch_counts_instructions
+        assert bus.fetch_slots == [owner.on_fetch_slots]
+
+    def test_full_subscriber_forces_every_cycle_until_detached(self):
+        bus = ProbeBus()
+        owner = bus.subscribe(FetchOnly())
+        bus.count_fetch_slots(owner, instructions=True)
+        bus.fetch_countdown = 17
+        other = bus.subscribe(FetchOnly())
+        assert bus.fetch_every_cycle
+        bus.detach(other)
+        assert not bus.fetch_every_cycle
+        assert bus.fetch_countdown == 17  # the owner's count survives
+
+    def test_second_countdown_claim_is_refused(self):
+        bus = ProbeBus()
+        first = bus.subscribe(FetchOnly())
+        second = bus.subscribe(FetchOnly())
+        assert bus.count_fetch_slots(first, instructions=True)
+        assert not bus.count_fetch_slots(second, instructions=True)
+        assert bus.fetch_every_cycle
+
+    def test_tagged_only_moves_retire_and_abort(self):
+        bus = ProbeBus()
+        plain, tagged = FullProbe(), FullProbe()
+        bus.subscribe(plain)
+        bus.subscribe(tagged)
+        bus.deliver_tagged_only(tagged)
+        assert bus.retire == [plain.on_retire]
+        assert bus.abort == [plain.on_abort]
+        assert bus.tagged_retire == [tagged.on_retire]
+        assert bus.tagged_abort == [tagged.on_abort]
+        bus.detach(plain)  # a rebuild keeps the narrowing
+        assert bus.retire == [] and bus.tagged_retire == [tagged.on_retire]
+
+    def test_unsubscribe_swaps_the_list_object(self):
+        bus = ProbeBus()
+        probe = bus.subscribe(FullProbe())
+        before = bus.cycle_end
+        bus.unsubscribe_callback(probe, "on_cycle_end")
+        assert bus.cycle_end == [] and before == [probe.on_cycle_end]
+        assert "on_cycle_end" not in bus.subscriptions(probe)
+        bus.subscribe_callback(probe, "on_cycle_end")
+        assert bus.cycle_end == [probe.on_cycle_end]
+
+    def test_unsubscribed_fetch_subscriber_does_not_force_publication(self):
+        bus = ProbeBus()
+        probe = bus.subscribe(FetchOnly())
+        bus.unsubscribe_callback(probe, "on_fetch_slots")
+        assert bus.fetch_slots == [] and not bus.fetch_every_cycle

@@ -202,16 +202,26 @@ def test_package_version_does_not_swallow_interrupts(monkeypatch):
 
 def test_bench_quick_writes_document_and_diffs(tmp_path, capsys):
     import json
+    import pathlib
 
+    from repro.tools import bench
+
+    # Every quick row has a committed baseline, and the simulation
+    # matches it (the deterministic half of the CI perf-smoke gate).
+    committed = pathlib.Path(__file__).parents[1] / bench.QUICK_OUTPUT
     baseline_path = str(tmp_path / "baseline.json")
-    assert main(["bench", "--quick", "--out", baseline_path]) == 0
+    assert main(["bench", "--quick", "--out", baseline_path,
+                 "--baseline", str(committed)]) == 0
     out = capsys.readouterr().out
     assert "cycles/s" in out
+    assert "no baseline entry" not in out
     with open(baseline_path) as stream:
         document = json.load(stream)
     assert document["kind"] == "repro-bench-core-throughput"
     assert document["results"]["ooo"]["compress@1"]["cycles"] > 0
     assert document["results"]["smt"]["compress+li"]["retired"] > 0
+    assert document["results"]["profileme"]["gcc@1/S=100/paired"][
+        "samples"] > 0
 
     # Same simulation vs the baseline: informational diff, exit 0.
     second_path = str(tmp_path / "second.json")

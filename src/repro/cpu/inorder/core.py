@@ -199,10 +199,15 @@ class InOrderCore(CoreBase):
         self.retired += 1
 
         bus = self.bus
-        if bus.fetch_slots:
+        if bus.fetch_every_cycle or (bus.fetch_slots
+                                     and bus.fetch_countdown <= 1):
             slots = [inst_slot(dyninst)]
             for callback in bus.fetch_slots:
                 callback(dyninst.fetch_cycle, slots)
+        elif bus.fetch_slots:
+            # A lone fetch-countdown owner: the one slot is an
+            # instruction, which counts in either CountMode.
+            bus.fetch_countdown -= 1
         for callback in bus.issue:
             callback(dyninst, issue)
         for callback in bus.retire:

@@ -23,14 +23,13 @@ event:
   ``on_fetch_slots`` acts only when a down-counter expires.  It keeps
   ``fetch_countdown`` at the number of counted slots (predicted-path
   instructions, or every fetch opportunity) that can pass without an
-  expiry.  A core that honours the countdown (the out-of-order core)
-  publishes slots only on a cycle whose counted slots can reach it and
-  otherwise subtracts them from ``fetch_countdown``; it never does both
-  in one cycle, so the probe recovers the unseen count as the difference
-  from the value it last wrote.  While any other probe subscribes to
-  ``on_fetch_slots``, ``fetch_every_cycle`` is set and slots are
-  published every cycle, as they are on cores that ignore the countdown
-  (in-order, the SMT relays).
+  expiry.  The out-of-order and in-order cores publish slots only on a
+  cycle whose counted slots can reach it and otherwise subtract them
+  from ``fetch_countdown``; they never do both in one cycle, so the
+  probe recovers the unseen count as the difference from the value it
+  last wrote.  While any other probe subscribes to ``on_fetch_slots``,
+  ``fetch_every_cycle`` is set and slots are published every cycle, as
+  the SMT relays always do.
 * **Tagged instructions** (:meth:`ProbeBus.deliver_tagged_only`): the
   probe's ``on_retire``/``on_abort`` sit on ``tagged_retire`` /
   ``tagged_abort`` and fire only for DynInsts carrying a

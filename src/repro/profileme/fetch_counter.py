@@ -47,10 +47,6 @@ class FetchedInstructionCounter:
         self.mode = mode
         self.remaining = None  # None = disarmed
 
-    @property
-    def armed(self):
-        return self.remaining is not None
-
     def write(self, value):
         """Arm the counter with *value* (the software's random interval)."""
         if value < 1:

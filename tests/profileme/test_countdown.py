@@ -1,8 +1,8 @@
 """Fetch-countdown delivery against every-cycle delivery.
 
-The out-of-order core publishes fetch slots to the ProfileMe unit only
-on cycles where its major or minor counter can expire, and counts the
-other cycles down in bulk.  Adding any probe that overrides
+The out-of-order and in-order cores publish fetch slots to the ProfileMe
+unit only on cycles where its major or minor counter can expire, and
+count the other cycles down in bulk.  Adding any probe that overrides
 ``on_fetch_slots`` forces slot publication every cycle, which is the
 reference behaviour: each case below runs once as is and once with such
 a do-nothing probe, and requires the same sampling statistics, the same
@@ -83,6 +83,9 @@ CASES = {
         "interrupt_cost_cycles": 20, "mode": OPPORTUNITIES}, {}),
     "two-speed-paired": ("compress", {"paired": True, "mean_interval": 400},
                          {"exec_mode": "two-speed", "window": 300}),
+    "inorder-paired": ("li", {"paired": True}, {"core_kind": "inorder"}),
+    "inorder-opportunities": ("compress", {"mode": OPPORTUNITIES},
+                              {"core_kind": "inorder"}),
 }
 
 

@@ -57,7 +57,7 @@ class TestInstructionMode:
         counter = FetchedInstructionCounter(CountMode.INSTRUCTIONS)
         counter.write(1)
         assert _landing(counter, _slots("i")).pc == 0
-        assert not counter.armed
+        assert counter.remaining is None
         assert _landing(counter, _slots("iiii")) is None
 
 
@@ -83,7 +83,7 @@ class TestCountdown:
         assert not counter.advance(4)
         assert counter.remaining == 1
         assert counter.advance(1)
-        assert not counter.armed
+        assert counter.remaining is None
 
     def test_overshoot_raises(self):
         counter = FetchedInstructionCounter()

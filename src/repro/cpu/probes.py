@@ -14,6 +14,8 @@ DynInst (predicted-path instruction), a bare PC (instruction present in the
 fetch block but off the predicted path), or nothing (fetcher stalled /
 beyond a taken branch with no instruction).  This is exactly the
 information the section 4.1.1 instruction-selection hardware works from.
+A subscriber gets every cycle's slots unless it owns the fetch countdown
+(:mod:`repro.engine.bus`), which skips the cycles it cannot act on.
 """
 
 from dataclasses import dataclass

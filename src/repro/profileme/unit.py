@@ -226,7 +226,11 @@ class ProfileMeUnit(Probe):
             self.minor.advance(elapsed)
 
     def _write_countdown(self):
-        """Tell the core how many counted slots can pass unobserved."""
+        """Tell the core how many counted slots can pass unobserved.
+
+        Runs after every counter write: attach, arm_major_at, finalize
+        and the end of on_fetch_slots (where _arm_major/_arm_minor run).
+        """
         if self._bus is None:
             return
         countdown = min((counter.remaining

@@ -64,11 +64,6 @@ INTERP_QUICK = (("compress", 4),)
 PROFILEME_ROW = ("gcc", 1, 100)
 
 
-def default_output(quick):
-    """The committed document of the *quick* or full flavour."""
-    return QUICK_OUTPUT if quick else DEFAULT_OUTPUT
-
-
 def git_revision():
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],

@@ -834,7 +834,7 @@ def cmd_bench(args):
 
     # Load the baseline up front: with default arguments --out IS the
     # committed baseline file, so it must be read before the overwrite.
-    committed = bench.default_output(args.quick)
+    committed = bench.QUICK_OUTPUT if args.quick else bench.DEFAULT_OUTPUT
     out = args.out or committed
     baseline_path = args.baseline
     if baseline_path is None and os.path.exists(committed):

@@ -1,17 +1,19 @@
 """Continuous-ingest soak: bounded memory under aggressive retention.
 
-Drives a real ``repro serve`` process (inline fold, so the databases
-live in the measured process) with a nonstop sample stream whose ticks
-advance forever, under an aggressive ``--rollup-interval`` /
+Drives a real ``repro serve`` process with a nonstop sample stream
+whose ticks advance forever, under an aggressive ``--rollup-interval`` /
 ``--retain-buckets`` configuration.  Asserts the two properties that
 make unbounded-duration profiling safe:
 
 * **RSS plateaus.**  Retention keeps the working set bounded: the
-  server's resident set in the final quarter of the soak must not keep
-  growing over the second quarter (within a noise allowance).
-* **Nothing is lost silently.**  Every folded record is either retained
-  or counted evicted (``folded == retained + evicted``, per the
-  ``epochs`` accounting), and ``repro query stats`` reports the
+  resident set of the server and its shard worker processes (where the
+  databases live), summed, must not keep growing from the second
+  quarter of the soak to the final one (within a noise allowance).
+* **Nothing is lost silently.**  Every pushed record is folded or
+  counted dropped (the shard queues shed what the workers cannot keep
+  up with: ``pushed == folded + dropped``), every folded record is
+  either retained or counted evicted (``folded == retained + evicted``,
+  per the ``epochs`` accounting), and ``repro query stats`` reports the
   eviction counter.
 
 Run directly (CI's soak-smoke job, non-gating)::
@@ -38,11 +40,41 @@ NUM_PCS = 256
 
 
 def _rss_kb(pid):
-    with open("/proc/%d/status" % pid) as stream:
-        for line in stream:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
+    try:
+        with open("/proc/%d/status" % pid) as stream:
+            for line in stream:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1])
+    except (FileNotFoundError, ProcessLookupError):
+        pass  # the process exited between listing and reading
     return 0
+
+
+def _tree_pids(root):
+    """*root* and its descendants, found by parent pid in /proc/*/stat."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as stream:
+                stat = stream.read()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        # The command name may hold spaces and parentheses; the fields
+        # after the last ')' are fixed: state, then the parent pid.
+        ppid = int(stat[stat.rindex(")") + 2:].split()[1])
+        children.setdefault(ppid, []).append(int(entry))
+    tree, todo = [], [root]
+    while todo:
+        pid = todo.pop()
+        tree.append(pid)
+        todo.extend(children.get(pid, ()))
+    return tree
+
+
+def _tree_rss_kb(root):
+    return sum(_rss_kb(pid) for pid in _tree_pids(root))
 
 
 def _batch(tick, step):
@@ -73,8 +105,7 @@ def main(argv=None):
     port_file = os.path.join(tempfile.mkdtemp(prefix="soak."), "port")
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.tools.cli", "serve",
-         "--port", "0", "--port-file", port_file, "--inline-fold",
-         "--shards", "2",
+         "--port", "0", "--port-file", port_file, "--shards", "2",
          "--rollup-interval", str(args.rollup_interval),
          "--retain-buckets", str(args.retain_buckets)],
         stdout=subprocess.DEVNULL)
@@ -102,11 +133,12 @@ def main(argv=None):
                 pushed += len(records)
                 now = time.monotonic()
                 if now >= next_rss:
-                    rss_samples.append(_rss_kb(server.pid))
+                    rss_samples.append(_tree_rss_kb(server.pid))
                     next_rss = now + 1.0
             client.drain()
             epochs = client.epochs()
-        rss_samples.append(_rss_kb(server.pid))
+            stats = client.query("stats")["stats"]
+        rss_samples.append(_tree_rss_kb(server.pid))
 
         stats_out = subprocess.check_output(
             [sys.executable, "-m", "repro.tools.cli", "query", address,
@@ -118,20 +150,27 @@ def main(argv=None):
 
     retained = epochs["total_samples"]
     evicted = epochs["evicted_samples"]
-    print("pushed=%d retained=%d evicted=%d buckets=%d"
-          % (pushed, retained, evicted, len(epochs["epochs"])))
+    folded = stats["records"]
+    dropped = stats["dropped_records"]
+    print("pushed=%d folded=%d dropped=%d retained=%d evicted=%d buckets=%d"
+          % (pushed, folded, dropped, retained, evicted,
+             len(epochs["epochs"])))
     quarter = max(1, len(rss_samples) // 4)
     early = sorted(rss_samples[quarter:2 * quarter])
     late = sorted(rss_samples[-quarter:])
     early_med = early[len(early) // 2]
     late_med = late[len(late) // 2]
-    print("rss: first=%dkB early-median=%dkB late-median=%dkB last=%dkB"
+    print("rss (server + shard workers): first=%dkB early-median=%dkB "
+          "late-median=%dkB last=%dkB"
           % (rss_samples[0], early_med, late_med, rss_samples[-1]))
 
     failures = []
-    if retained + evicted != pushed:
-        failures.append("accounting: %d retained + %d evicted != %d pushed"
-                        % (retained, evicted, pushed))
+    if folded + dropped != pushed:
+        failures.append("accounting: %d folded + %d dropped != %d pushed"
+                        % (folded, dropped, pushed))
+    if retained + evicted != folded:
+        failures.append("accounting: %d retained + %d evicted != %d folded"
+                        % (retained, evicted, folded))
     if evicted <= 0:
         failures.append("retention never evicted anything "
                         "(soak too short or retention too loose)")

@@ -17,11 +17,11 @@ tolerance a continuous profiler needs:
   survive server restarts.  A partial trailing frame (the producer died
   mid-append) is discarded on replay — the spill loses at most one
   batch, exactly like an interrupted snapshot loses at most one
-  interval — and every such discard is counted (``replay_dropped``)
-  and reported to the server, which folds it into the stats that
-  ``repro query stats`` shows.  Without a spill path, undeliverable
-  batches are *dropped
-  and counted* (``lost_batches``) — profiling must never take down the
+  interval — and every such discard is counted (``replay_dropped``),
+  logged as a warning naming the spill file, and reported to the
+  server, which folds it into the stats that ``repro query stats``
+  shows.  Without a spill path, undeliverable batches are *dropped and
+  counted* (``lost_batches``) — profiling must never take down the
   workload it profiles.
 
 * **Read-your-writes.**  :meth:`drain` is a barrier: it returns only
@@ -34,6 +34,7 @@ batches records and ships them per *batch_size*, making ``repro sweep
 --push`` stream live samples from every worker process into one server.
 """
 
+import logging
 import os
 import socket
 import time
@@ -46,6 +47,8 @@ from repro.service.protocol import (MAX_FRAME_BYTES, check_ok, encode_frame,
                                     plan_push_frames, push_db_frame,
                                     query_frame, recv_frame, report_frame,
                                     send_frame, split_frames, sync_frame)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -210,6 +213,10 @@ class ProfileClient:
             # data frame in the retired v1 JSON encoding, ends the
             # salvageable prefix; everything past it is discarded as one
             # counted, reported drop event (>= 1 batch lost).
+            logger.warning(
+                "spill replay of %s stopped at byte %d of %d: the rest is "
+                "a torn frame or a retired v1 data frame and was dropped",
+                self.spill_path, clean_length, len(data))
             self._report_replay_dropped(1)
         # Replayed push_db (and sync-flagged) frames are acknowledged;
         # read those replies now so none is taken for the reply to a

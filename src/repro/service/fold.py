@@ -1,9 +1,9 @@
 """Shard folding: wire payloads -> :class:`ProfileDatabase` aggregates.
 
-One :class:`ShardFolder` owns one shard's database.  It is the single
-fold implementation behind both deployment shapes of the server — the
-dedicated worker processes of :mod:`repro.service.workers` and the
-inline (in-event-loop) fallback — so the two cannot drift.
+One :class:`ShardFolder` owns one shard's database.  Each shard worker
+process of :mod:`repro.service.workers` runs one; the in-process
+reference fold (``ProfileDatabase.add`` record by record) is what its
+results are checked against.
 
 **The fast path.**  A v2 push payload keeps each record's *signature*
 (opcode, abort reason, events, context, history, addr, latencies — see
@@ -32,7 +32,7 @@ header's record count, which is exactly what did not get folded.
 and ``total_sq += n * v * v`` is the same integer as ``n`` repetitions
 of ``add_record`` — so a flushed folder's database is field-for-field
 identical to one built record-by-record, and exports stay byte-identical
-(canonical JSON) across the fused, inline, and in-process paths.  When
+(canonical JSON) between the fused and in-process paths.  When
 the shard retains effective addresses (``keep_addresses > 0``) the fast
 path is disabled entirely: address retention is capped per pc in arrival
 order, which multiplication cannot reproduce.

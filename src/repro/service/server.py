@@ -14,9 +14,7 @@ shared on-disk profile database, and serves the analysis tools.
   process per shard (:mod:`repro.service.workers`), fed over bounded
   queues.  A crashed worker is detected, restarted from its last
   checkpoint, and everything un-checkpointed is accounted as dropped —
-  never double-counted.  ``workers=False`` folds inline on the event
-  loop instead (same :class:`~repro.service.fold.ShardFolder`, same
-  results) for single-core embedding.
+  never double-counted.
 
 * **Bounded queues, explicit backpressure, loss accounting.**  TCP flow
   control is the smooth backpressure path; when a producer still
@@ -93,16 +91,13 @@ class ProfileServer:
     def __init__(self, host="127.0.0.1", port=0, shards=1, queue_size=64,
                  keep_addresses=0, snapshot_path=None,
                  snapshot_interval=30.0, max_frame_bytes=MAX_FRAME_BYTES,
-                 fold_delay=0.0, workers=True, rollup_interval=0,
-                 retain_buckets=0):
+                 fold_delay=0.0, rollup_interval=0, retain_buckets=0):
         """*queue_size*: batches buffered per shard before drops begin.
         *fold_delay*: artificial per-batch folding cost in seconds — the
-        overload knob the backpressure tests and
-        ``bench_service_ingest.py`` turn to make producers outrun the
-        folder deterministically.  *workers*: fold in dedicated worker
-        processes (the production shape); False folds inline on the
-        event loop.  *rollup_interval*/*retain_buckets*: per-shard
-        time-bucketed rollup and bounded retention (see
+        overload knob the backpressure and fault-injection tests turn to
+        make producers outrun the folder deterministically.
+        *rollup_interval*/*retain_buckets*: per-shard time-bucketed
+        rollup and bounded retention (see
         :class:`~repro.analysis.database.ProfileDatabase`); evictions
         are accounted per shard and reported on every stats query.
         """
@@ -129,7 +124,6 @@ class ProfileServer:
         self.snapshot_interval = snapshot_interval
         self.max_frame_bytes = max_frame_bytes
         self.fold_delay = fold_delay
-        self.use_worker_processes = workers
         self.stats = ServerStats()
         self.workers = []  # created in start() (they need the loop)
         self._next_shard = 0
@@ -208,7 +202,7 @@ class ProfileServer:
         return self.workers[index]
 
     def worker_pids(self):
-        """OS pids of the shard workers (None entries when inline)."""
+        """OS pids of the shard worker processes."""
         return [worker_pid(worker) for worker in self.workers]
 
     def _stat_value(self, name):
@@ -238,10 +232,9 @@ class ProfileServer:
         """Bind, spawn the shard workers, start accepting."""
         loop = asyncio.get_event_loop()
         self.workers = make_workers(
-            self.shard_count, workers=self.use_worker_processes,
-            keep_addresses=self.keep_addresses, queue_size=self.queue_size,
-            fold_delay=self.fold_delay, loop=loop,
-            rollup_interval=self.rollup_interval,
+            self.shard_count, keep_addresses=self.keep_addresses,
+            queue_size=self.queue_size, fold_delay=self.fold_delay,
+            loop=loop, rollup_interval=self.rollup_interval,
             retain_buckets=self.retain_buckets)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)

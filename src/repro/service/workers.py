@@ -1,11 +1,10 @@
-"""Shard workers: folding off the event loop, into dedicated processes.
+"""Shard workers: every shard folds in its own worker process.
 
-PR 3's server folded samples inside the asyncio event loop, so at high
-ingest rates the fold competed with frame reading for the same
-interpreter.  Here each shard gets a dedicated **worker process** fed
-over a bounded ``multiprocessing.Queue``; the event loop only reads
-frames, routes payloads, and accounts — the CPU-heavy decode+fold runs
-in :class:`~repro.service.fold.ShardFolder` inside the worker.
+The server's event loop only reads frames, routes payloads and
+accounts; each shard's CPU-heavy decode+fold runs in
+:class:`~repro.service.fold.ShardFolder` inside a dedicated **worker
+process** fed over a bounded ``multiprocessing.Queue``, so folding never
+competes with frame reading for the event loop's interpreter.
 
 Topology (one per shard)::
 
@@ -38,12 +37,6 @@ Topology (one per shard)::
   replay anything twice.  Exports after a crash therefore remain
   byte-identical to an in-process fold of (everything checkpointed +
   everything folded after the restart).
-
-:class:`LocalShardWorker` implements the same interface on an
-``asyncio.Queue`` + task in the event loop (no processes) — the inline
-fallback for single-core embedding and a differential partner for
-tests; both run the identical :class:`ShardFolder`, so they cannot
-disagree on fold results.
 """
 
 import asyncio
@@ -71,7 +64,7 @@ def _fresh_counters():
 
 
 def _apply_fold_command(folder, counters, command, fold_delay):
-    """Execute one fold command; shared by both worker flavours."""
+    """Execute one fold command in the worker process."""
     if fold_delay:
         time.sleep(fold_delay)
     op = command[0]
@@ -217,11 +210,8 @@ class ProcessShardWorker:
         if self._stopping or conn is not self._conn:
             return
         # Everything enqueued since the last checkpoint died with the
-        # process — account it as dropped, exactly once.
-        for _seq, batches, records in self._backlog:
-            self.dropped_batches += batches
-            self.dropped_records += records
-        self._backlog = []
+        # process.
+        self._drop_backlog()
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(WorkerRestarted(
@@ -246,7 +236,8 @@ class ProcessShardWorker:
 
     def _drop_backlog(self):
         """Account every command enqueued since the last checkpoint as
-        dropped (the worker will never fold it), exactly once."""
+        dropped, exactly once: a dead worker lost it, and a stop that
+        never reached the worker leaves it unfolded."""
         for _seq, batches, records in self._backlog:
             self.dropped_batches += batches
             self.dropped_records += records
@@ -348,141 +339,21 @@ class ProcessShardWorker:
             return -1
 
 
-class LocalShardWorker:
-    """Same interface, no processes: an asyncio queue + task in-loop.
-
-    The inline fallback (``ProfileServer(workers=False)``): identical
-    :class:`ShardFolder`, identical accounting, so the two modes fold
-    identically — only where the CPU burns differs.
-    """
-
-    def __init__(self, index, keep_addresses=0, queue_size=64,
-                 fold_delay=0.0, loop=None, rollup_interval=0,
-                 retain_buckets=0):
-        self.index = index
-        self.loop = loop or asyncio.get_event_loop()
-        self.fold_delay = fold_delay
-        self.folder = ShardFolder(keep_addresses=keep_addresses,
-                                  rollup_interval=rollup_interval,
-                                  retain_buckets=retain_buckets)
-        self.accepted_batches = 0
-        self.dropped_batches = 0
-        self.dropped_records = 0
-        self.fold_error_batches = 0
-        self.fold_error_records = 0
-        self.restarts = 0
-        self.counters = _fresh_counters()
-        self.total_samples = 0
-        self._queue = asyncio.Queue(maxsize=queue_size)
-        self._task = asyncio.ensure_future(self._run())
-
-    # The inline flavour owns its database, so the rollup accounting
-    # reads live (the process flavour refreshes these at each snap).
-    @property
-    def evicted_samples(self):
-        return self.folder.database.evicted_samples
-
-    @property
-    def bucket_count(self):
-        return self.folder.database.bucket_count
-
-    async def _run(self):
-        while True:
-            command = await self._queue.get()
-            try:
-                if command[0] == "snap":
-                    self.folder.flush()
-                    future = command[1]
-                    if not future.done():
-                        future.set_result(self.folder.database)
-                    continue
-                if self.fold_delay:
-                    await asyncio.sleep(self.fold_delay)
-                try:
-                    _apply_fold_command(self.folder, self.counters,
-                                        command, 0.0)
-                except ProtocolError:
-                    self.fold_error_batches += 1
-                    self.fold_error_records += command[-1] \
-                        if isinstance(command[-1], int) else 0
-                    self.counters["fold_errors"] += 1
-            finally:
-                self._queue.task_done()
-
-    async def stop(self):
-        self._task.cancel()
-        try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
-        # Cancelling the fold task strands whatever is still queued.
-        # Those commands were accepted (accounted in accepted_batches)
-        # and will never fold — count them as dropped, mirroring what
-        # the process flavour does for a terminated worker's backlog.
-        while True:
-            try:
-                command = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if command[0] == "snap":
-                future = command[1]
-                if not future.done():
-                    future.set_exception(WorkerRestarted(
-                        "shard worker %d stopped under barrier"
-                        % self.index))
-                continue
-            self.dropped_batches += 1
-            self.dropped_records += command[-1] \
-                if isinstance(command[-1], int) else 0
-
-    def offer(self, command, batches=1, records=0):
-        try:
-            self._queue.put_nowait(command)
-        except asyncio.QueueFull:
-            self.dropped_batches += batches
-            self.dropped_records += records
-            return False
-        self.accepted_batches += batches
-        return True
-
-    async def put_blocking(self, command, batches=1, records=0):
-        await self._queue.put(command)
-        self.accepted_batches += batches
-
-    async def snap(self):
-        future = self.loop.create_future()
-        await self._queue.put(("snap", future))
-        database = await future
-        self.total_samples = database.total_samples
-        return database
-
-    async def snap_retry(self):
-        return await self.snap()
-
-    def queue_depth(self):
-        return self._queue.qsize()
-
-
-def make_workers(count, workers=True, keep_addresses=0, queue_size=64,
-                 fold_delay=0.0, loop=None, rollup_interval=0,
-                 retain_buckets=0):
-    cls = ProcessShardWorker if workers else LocalShardWorker
-    return [cls(index, keep_addresses=keep_addresses, queue_size=queue_size,
-                fold_delay=fold_delay, loop=loop,
-                rollup_interval=rollup_interval,
-                retain_buckets=retain_buckets)
+def make_workers(count, keep_addresses=0, queue_size=64, fold_delay=0.0,
+                 loop=None, rollup_interval=0, retain_buckets=0):
+    return [ProcessShardWorker(index, keep_addresses=keep_addresses,
+                               queue_size=queue_size, fold_delay=fold_delay,
+                               loop=loop, rollup_interval=rollup_interval,
+                               retain_buckets=retain_buckets)
             for index in range(count)]
 
 
 def worker_pid(worker):
-    """The worker's OS pid (None for the inline flavour) — the handle
-    the fault-injection tests SIGKILL."""
-    process = getattr(worker, "process", None)
-    return process.pid if process is not None else None
+    """The worker's OS pid — the handle the fault-injection tests
+    SIGKILL."""
+    return worker.process.pid
 
 
 def kill_worker(worker):
     """SIGKILL the worker process (test fault injection)."""
-    pid = worker_pid(worker)
-    if pid is not None:
-        os.kill(pid, 9)
+    os.kill(worker_pid(worker), 9)

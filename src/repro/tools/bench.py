@@ -12,11 +12,16 @@ a perf trajectory, and ``diff_lines`` renders the comparison against
 the committed baseline.
 
 The pinned set is deliberately small and fixed: trajectory points are
-only comparable if every PR measures the same work.  Simulated cycle
-counts are machine-independent, so a cycle-count mismatch against the
-baseline means the *simulation* changed (flagged loudly); wall-clock
+only comparable if every change measures the same work.  Simulated
+cycle counts are machine-independent, so a cycle-count mismatch against
+the baseline means the *simulation* changed (flagged loudly); wall-clock
 throughput is hardware-dependent and reported as an informational
-delta.
+delta.  Only the cycle, retired and samples columns gate.  Wall-clock
+rows are best-of-N timings with no host-speed normalisation, so two
+rows of one document are not comparable with each other either: a
+host whose speed drifts between rows can make the ProfileMe-on row
+read faster than the probe-free row of the same workload.  The cost
+of profiling is layerbench's traced ``profileme.overhead_frac``.
 """
 
 import json

@@ -439,7 +439,6 @@ def cmd_serve(args):
                            keep_addresses=args.keep_addresses,
                            snapshot_path=args.snapshot,
                            snapshot_interval=args.snapshot_interval,
-                           workers=not args.inline_fold,
                            rollup_interval=args.rollup_interval,
                            retain_buckets=args.retain_buckets)
 
@@ -1050,10 +1049,6 @@ def build_parser():
     p.add_argument("--port-file", metavar="PATH",
                    help="write the bound port here once listening "
                         "(for scripts using --port 0)")
-    p.add_argument("--inline-fold", action="store_true",
-                   help="fold on the event loop instead of dedicated "
-                        "shard worker processes (debugging / "
-                        "single-core embedding)")
     p.add_argument("--rollup-interval", type=int, default=0,
                    help="fold samples into time buckets of this many "
                         "cycles, rolled up into exponentially coarser "

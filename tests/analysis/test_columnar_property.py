@@ -6,7 +6,8 @@ Two invariants guard the struct-of-arrays rewrite:
   record-for-record identical to the straightforward per-record scalar
   aggregation the database used to do (walk the event flags, update a
   per-name latency triple).  The reference implementation is embedded
-  here, frozen at the legacy semantics, and compared field-for-field.
+  here, frozen at the legacy semantics, and compared field-for-field
+  and by top-k ranking.
 
 * **Rollup commutes with merge.**  Splitting a sample stream across
   shards and merging their bucketed databases must equal bucketing the
@@ -81,6 +82,14 @@ def legacy_scalar_fold(records):
     return rows
 
 
+def legacy_top_by_event(rows, flag, limit):
+    """The legacy ranking over :func:`legacy_scalar_fold` rows: count
+    descending, ties by ascending pc, zero-count pcs included."""
+    ranked = sorted(((row["events"].get(flag, 0), -pc)
+                     for pc, row in rows.items()), reverse=True)[:limit]
+    return [(-negated_pc, count) for count, negated_pc in ranked]
+
+
 @settings(max_examples=60, deadline=None)
 @given(records=st.lists(_records, max_size=120))
 def test_columnar_fold_matches_legacy_scalar_fold(records):
@@ -101,6 +110,9 @@ def test_columnar_fold_matches_legacy_scalar_fold(records):
             aggregate = profile.latency(name)
             assert (aggregate.count, aggregate.total, aggregate.total_sq) \
                 == row["latencies"].get(name, (0, 0, 0))
+    for flag in (Event.RETIRED, Event.DCACHE_MISS, Event.ICACHE_MISS):
+        assert db.top_by_event(flag, limit=3) == \
+            legacy_top_by_event(reference, flag, limit=3)
 
 
 @settings(max_examples=40, deadline=None)

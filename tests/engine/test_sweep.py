@@ -175,6 +175,30 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path):
     assert done.metrics.simulated_cycles == 0
 
 
+def test_cold_warm_and_half_warm_cache_accounting(tmp_path):
+    """Every spec is simulated (ok) or served from the cache (cached),
+    never both: a cold sweep simulates the whole grid, a warm one none
+    of it, and a half-seeded cache simulates only the missing half."""
+    specs = [_spec("S=%d seed=%d" % (interval, seed),
+                   interval=interval, seed=seed)
+             for interval in (20, 40) for seed in (1, 2)]
+    total = len(specs)
+    full_dir = str(tmp_path / "full")
+    cold = run_sweep(specs, workers=2, store=full_dir)
+    assert (cold.metrics.ok, cold.metrics.cached) == (total, 0)
+    warm = run_sweep(specs, workers=2, store=full_dir)
+    assert (warm.metrics.ok, warm.metrics.cached) == (0, total)
+
+    full_store = ResultStore(full_dir)
+    half_store = ResultStore(str(tmp_path / "half"))
+    for spec in specs[:total // 2]:
+        key = spec_key(spec)
+        half_store.store(key, full_store.load_payload(key))
+    half = run_sweep(specs, workers=2, store=str(tmp_path / "half"))
+    assert half.metrics.cached == total // 2
+    assert half.metrics.ok == total - total // 2
+
+
 def test_failed_specs_are_not_cached_and_rerun_on_resume(tmp_path):
     store_dir = str(tmp_path / "ck")
     specs = [_spec("ok-a", seed=1), _spec("boom", seed=2)]

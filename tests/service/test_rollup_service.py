@@ -9,6 +9,7 @@ query, stats accounting, and the probe registry's per-shard gauges.
 
 import pytest
 
+from repro.analysis.database import ProfileDatabase
 from repro.errors import ProtocolError, ServiceError
 from repro.service.client import ProfileClient
 from repro.service.server import ServerThread
@@ -120,16 +121,17 @@ class TestRollupQueries:
         assert export["database"]["version"] == 2
         assert export["database"]["total_samples"] == 16
 
-    def test_inline_fold_matches_worker_accounting(self):
+    def test_worker_accounting_matches_in_process_fold(self):
         ticks = list(range(0, 1200, 30))
-        replies = []
-        for workers in (True, False):
-            with ServerThread(port=0, shards=1, rollup_interval=100,
-                              retain_buckets=4, workers=workers) as thread:
-                _push_stream(thread.address, ticks)
-                with ProfileClient(thread.address) as client:
-                    replies.append(client.epochs())
-        assert replies[0]["total_samples"] == replies[1]["total_samples"]
-        assert replies[0]["evicted_samples"] == \
-            replies[1]["evicted_samples"]
-        assert replies[0]["epochs"] == replies[1]["epochs"]
+        with ServerThread(port=0, shards=1, rollup_interval=100,
+                          retain_buckets=4) as thread:
+            _push_stream(thread.address, ticks)
+            with ProfileClient(thread.address) as client:
+                reply = client.epochs()
+        reference = ProfileDatabase(rollup_interval=100, retain_buckets=4)
+        for tick in ticks:
+            reference.add(tick_record(tick))
+        assert reference.evicted_samples > 0  # retention really evicted
+        assert reply["total_samples"] == reference.total_samples
+        assert reply["evicted_samples"] == reference.evicted_samples
+        assert reply["epochs"] == reference.epoch_summaries()

@@ -20,10 +20,11 @@ on the next connection.  Two committed spill files pin that format:
 Replaying the v2 spill must serve an export byte-identical to folding
 the same samples in-process.  Replaying the v1 spill must deliver the
 clean prefix (the ``push_db`` frame) and count everything after it as
-one spill-replay drop, on both ends — never a traceback, never a silent
-loss.
+one spill-replay drop, on both ends, with one warning that names the
+spill file — never a traceback, never a silent loss.
 """
 
+import logging
 import os
 import random
 import shutil
@@ -171,6 +172,16 @@ class TestV1Spill:
         assert stats["db_merges"] == 1
         assert stats["protocol_errors"] == 0  # v1 frames never sent
         assert canonical_json(export) == canonical_json(fixture_document())
+
+    def test_replay_drop_names_the_spill_file(self, tmp_path, caplog):
+        _, clean = split_frames(_read(V1_SPILL), strict=False)
+        with caplog.at_level(logging.WARNING, logger="repro.service.client"):
+            _replay(V1_SPILL, tmp_path)
+        [warning] = [record.getMessage() for record in caplog.records
+                     if record.levelno == logging.WARNING]
+        assert str(tmp_path / "spill.bin") in warning
+        assert "byte %d of %d" % (clean, os.path.getsize(V1_SPILL)) \
+            in warning
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ and run-time dilation vs an unprofiled run.
 
 from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.reports import format_table
-from repro.harness import make_core, run_profiled
+from repro.engine.session import SessionSpec, build_core, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -24,17 +24,17 @@ def _experiment():
     scale = bench_scale()
     program = suite_program("compress", scale=2 * scale)
 
-    baseline = make_core(program)
+    baseline = build_core(program)
     baseline_cycles = baseline.run()
 
     rows = []
     for depth in DEPTHS:
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=50, buffer_depth=depth,
                                     interrupt_cost_cycles=INTERRUPT_COST,
                                     seed=23),
-            keep_records=False)
+            keep_records=False))
         stats = run.unit.stats
         rows.append({
             "depth": depth,

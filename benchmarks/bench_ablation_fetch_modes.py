@@ -12,7 +12,7 @@ mode across workloads with different fetch behaviour.
 
 from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.fetch_counter import CountMode
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
@@ -27,11 +27,10 @@ def _experiment():
         program = suite_program(name, scale=scale)
         per_mode = {}
         for mode in (CountMode.INSTRUCTIONS, CountMode.FETCH_OPPORTUNITIES):
-            run = run_profiled(
-                program,
-                profile=ProfileMeConfig(mean_interval=60, mode=mode,
-                                        seed=19),
-                keep_records=False)
+            run = run_session(SessionSpec(
+                program=program,
+                profile=ProfileMeConfig(mean_interval=60, mode=mode, seed=19),
+                keep_records=False))
             per_mode[mode] = run.unit.stats
         results[name] = per_mode
     return results

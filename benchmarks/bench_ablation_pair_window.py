@@ -13,7 +13,7 @@ window, growing it further mostly just dilutes the pair budget.
 from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.bottlenecks import instruction_metrics
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import fig7_three_loops
 
@@ -25,13 +25,13 @@ def _experiment():
     program, regions = fig7_three_loops(iterations=500 * scale)
     rows = []
     for window in WINDOWS:
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=60, paired=True,
                                     pair_window=window, seed=37),
             collect_truth=True,
             truth_options={"collect_intervals": True,
-                           "collect_issue_series": True})
+                           "collect_issue_series": True}))
         analyzer = run.pair_analyzer
         pair_interval = (run.truth.total_fetched
                          / max(1, analyzer.pairs_usable))

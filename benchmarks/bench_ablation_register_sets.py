@@ -17,7 +17,7 @@ from repro.analysis.convergence import (convergence_points,
                                         effective_interval,
                                         retired_property)
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -26,11 +26,11 @@ def _register_set_sweep(scale):
     program = suite_program("compress", scale=2 * scale)
     rows = []
     for sets in (1, 2, 4, 8):
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=25, register_sets=sets,
                                     seed=43),
-            collect_truth=True, keep_records=False)
+            collect_truth=True, keep_records=False))
         stats = run.unit.stats
         s_eff = effective_interval(run.truth.total_fetched,
                                    run.database.total_samples)
@@ -51,11 +51,11 @@ def _nway_sweep(scale):
     program = suite_program("go", scale=scale)
     rows = []
     for size in (2, 3, 4):
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=60, group_size=size,
                                     pair_window=32, seed=47),
-            keep_records=False)
+            keep_records=False))
         analyzer = run.pair_analyzer
         interrupts = run.unit.stats.interrupts
         rows.append({

@@ -12,7 +12,7 @@ from repro.analysis.convergence import (convergence_points,
                                         effective_interval,
                                         retired_property)
 from repro.analysis.reports import format_table
-from repro.harness import make_core, run_profiled
+from repro.engine.session import SessionSpec, build_core, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -24,17 +24,17 @@ def _experiment():
     scale = bench_scale()
     program = suite_program("compress", scale=4 * scale)
 
-    baseline = make_core(program)
+    baseline = build_core(program)
     baseline_cycles = baseline.run()
 
     rows = []
     for interval in INTERVALS:
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=interval,
                                     interrupt_cost_cycles=INTERRUPT_COST,
                                     seed=41),
-            collect_truth=True, keep_records=False)
+            collect_truth=True, keep_records=False))
         s_eff = effective_interval(run.truth.total_fetched,
                                    run.database.total_samples)
         points = convergence_points(run.database, run.truth, s_eff,

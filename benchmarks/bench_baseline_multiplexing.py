@@ -20,7 +20,7 @@ from repro.counters.multiplex import MultiplexConfig, MultiplexedCounters
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.analysis.groundtruth import GroundTruthCollector
 from repro.events import Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 
 from tests.counters.test_multiplex import phased_program
@@ -64,10 +64,10 @@ def _experiment():
                 if true_value else 0.0
         rows.append(("multiplex@%d" % rotation, errors))
 
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=40,
-                                               register_sets=4, seed=3),
-                       collect_truth=True, keep_records=False)
+    run = run_session(SessionSpec(
+        program=program,
+        profile=ProfileMeConfig(mean_interval=40, register_sets=4, seed=3),
+        collect_truth=True, keep_records=False))
     s_eff = effective_interval(run.truth.total_fetched,
                                run.database.total_samples)
     truth_counts = _truth_counts(run.truth)

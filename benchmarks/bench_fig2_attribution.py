@@ -18,7 +18,7 @@ from collections import Counter
 from benchmarks.conftest import run_once
 from repro.analysis.reports import histogram_ascii
 from repro.counters.counter import CounterConfig, CounterEvent
-from repro.harness import run_profiled, run_with_counter
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import fig2_loop
 
@@ -34,33 +34,33 @@ def _experiment():
     program, load_pc = fig2_loop(iterations=ITERATIONS, nop_count=NOPS)
     results = {}
 
-    _, counter = run_with_counter(
-        program,
-        CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
-                      skid_cycles=6),
-        core_kind="inorder")
+    counter = run_session(SessionSpec(
+        program=program,
+        counter=CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
+                              skid_cycles=6),
+        core_kind="inorder")).counter
     results["inorder"] = _offsets(counter, load_pc)
 
-    _, counter = run_with_counter(
-        program,
-        CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
-                      skid_cycles=6, skid_jitter_cycles=8),
-        core_kind="ooo")
+    counter = run_session(SessionSpec(
+        program=program,
+        counter=CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
+                              skid_cycles=6, skid_jitter_cycles=8),
+        core_kind="ooo")).counter
     results["ooo"] = _offsets(counter, load_pc)
 
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=40, seed=7))
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=40, seed=7)))
     profileme = Counter(
         (r.pc - load_pc) // 4 for r in run.records
         if r.op is not None and r.op.value == "ld")
     results["profileme"] = profileme
 
     # Blind spot: defer interrupts across the whole loop body.
-    _, counter = run_with_counter(
-        program,
-        CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
-                      skid_cycles=6),
-        uninterruptible=[(0, program.pc_limit - 8)])
+    counter = run_session(SessionSpec(
+        program=program,
+        counter=CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
+                              skid_cycles=6),
+        uninterruptible=[(0, program.pc_limit - 8)])).counter
     results["blind_spot"] = _offsets(counter, load_pc)
     return results
 

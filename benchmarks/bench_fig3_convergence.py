@@ -18,7 +18,7 @@ from repro.analysis.convergence import (convergence_points,
                                         envelope_fraction, retired_property,
                                         summarize)
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -33,10 +33,10 @@ def _experiment():
         # S=120 with +-50% uniform jitter: the minimum interval exceeds
         # the typical sample flight time, so no selections are dropped
         # and the average interval is exactly S (see unit.py on drops).
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=120,
-                                                   seed=17),
-                           collect_truth=True, keep_records=False)
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=120, seed=17),
+            collect_truth=True, keep_records=False))
         s_eff = effective_interval(run.truth.total_fetched,
                                    run.database.total_samples)
         all_points["retired"].extend(convergence_points(

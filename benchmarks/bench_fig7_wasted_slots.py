@@ -13,11 +13,10 @@ slots (y), one symbol per loop.  The paper's claims to match:
 
 from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.bottlenecks import instruction_metrics
-from repro.analysis.groundtruth import GroundTruthCollector
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
-from repro.utils.statistics import pearson, spearman
+from repro.utils.statistics import spearman
 from repro.workloads import fig7_three_loops
 
 
@@ -37,13 +36,13 @@ def _experiment():
                                              line_bytes=64,
                                              associativity=2))
     config = MachineConfig.alpha21264_like(memory=memory)
-    run = run_profiled(
-        program, config=config,
+    run = run_session(SessionSpec(
+        program=program, config=config,
         profile=ProfileMeConfig(mean_interval=80, paired=True,
                                 pair_window=96, seed=31),
         collect_truth=True,
         truth_options={"collect_intervals": True,
-                       "collect_issue_series": True})
+                       "collect_issue_series": True}))
     # Calibrate the estimators with the *measured* pair rate: selections
     # that land while a pair is in flight are dropped by the hardware, so
     # the effective inter-pair interval exceeds the configured one.  The

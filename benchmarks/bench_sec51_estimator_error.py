@@ -20,7 +20,7 @@ from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.estimators import (approx_coefficient_of_variation,
                                        coefficient_of_variation)
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -60,10 +60,10 @@ def _hardware_check():
     estimates = []
     truth_retired = None
     for seed in range(12):
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=interval,
-                                                   seed=seed),
-                           collect_truth=True, keep_records=False)
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=interval, seed=seed),
+            collect_truth=True, keep_records=False))
         from repro.events import Event
 
         k = sum(p.event_count(Event.RETIRED)

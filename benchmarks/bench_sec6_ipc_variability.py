@@ -14,7 +14,7 @@ useful concurrency genuinely varies across a program's execution.
 from benchmarks.conftest import bench_scale, run_once
 from repro.analysis.concurrency import ipc_variability
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -27,11 +27,10 @@ def _experiment():
     results = {}
     for name in BENCHMARKS:
         program = suite_program(name, scale=scale)
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=2000, seed=3),
-            collect_truth=True,
-            truth_options={"collect_retire_series": True})
+            collect_truth=True, truth_options={"collect_retire_series": True}))
         windows = run.truth.windowed_ipc(window_cycles=WINDOW)
         # Skip startup and drain partial windows.
         results[name] = ipc_variability(windows[1:-1])

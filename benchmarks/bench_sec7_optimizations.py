@@ -18,7 +18,7 @@ from repro.analysis.optimize import (insert_prefetches,
                                      plan_prefetches, reorder_functions)
 from repro.analysis.reports import format_table
 from repro.cpu.config import MachineConfig
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.isa.builder import ProgramBuilder
 from repro.isa.interpreter import Interpreter
 from repro.mem.cache import CacheConfig
@@ -63,10 +63,12 @@ def _layout_experiment(scale):
         l1i=CacheConfig(name="l1i", size_bytes=2048, line_bytes=64,
                         associativity=1)))
     profile = ProfileMeConfig(mean_interval=20, seed=3)
-    before = run_profiled(program, config=config, profile=profile)
+    before = run_session(SessionSpec(
+        program=program, config=config, profile=profile))
     order = layout_order_from_profile(before.database, program)
     improved = reorder_functions(program, order)
-    after = run_profiled(improved, config=config, profile=profile)
+    after = run_session(SessionSpec(
+        program=improved, config=config, profile=profile))
     assert after.core.retired == before.core.retired
     return {
         "before_cycles": before.cycles,
@@ -78,8 +80,8 @@ def _layout_experiment(scale):
 
 def _prefetch_experiment(scale):
     program = stall_kernel("dcache_miss", iterations=500 * scale)
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=25, seed=5))
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=25, seed=5)))
     plans = plan_prefetches(program, run.database, lookahead=8)
     improved = insert_prefetches(program, plans)
 
@@ -89,8 +91,8 @@ def _prefetch_experiment(scale):
     got.run_to_halt()
     assert got.state.regs.snapshot() == ref.state.regs.snapshot()
 
-    after = run_profiled(improved,
-                         profile=ProfileMeConfig(mean_interval=25, seed=5))
+    after = run_session(SessionSpec(
+        program=improved, profile=ProfileMeConfig(mean_interval=25, seed=5)))
     return {
         "plans": len(plans),
         "before_cycles": run.cycles,

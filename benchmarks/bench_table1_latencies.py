@@ -7,11 +7,9 @@ relative to a quiet baseline kernel.  This validates both the latency
 register semantics and Table 1's diagnostic mapping.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.registers import LATENCY_FIELDS
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads.microbench import kernel_names, stall_kernel
@@ -71,8 +69,9 @@ def _experiment():
             # "lack of physical registers" stall Table 1 describes.
             config = MachineConfig.alpha21264_like(rob_entries=128,
                                                    phys_regs=56)
-        run = run_profiled(program, config=config,
-                           profile=ProfileMeConfig(mean_interval=15, seed=4))
+        run = run_session(SessionSpec(
+            program=program, config=config,
+            profile=ProfileMeConfig(mean_interval=15, seed=4)))
         results[name] = _mean_latencies(run.database)
     return results
 

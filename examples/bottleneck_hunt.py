@@ -12,7 +12,7 @@ Run:  python examples/bottleneck_hunt.py
 from repro.analysis.bottlenecks import (instruction_metrics, rank_agreement,
                                         top_bottlenecks)
 from repro.analysis.reports import bottleneck_report
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme import ProfileMeConfig
 from repro.workloads import fig7_three_loops
 
@@ -26,12 +26,11 @@ def region_name(regions, pc):
 
 def main():
     program, regions = fig7_three_loops(iterations=800)
-    run = run_profiled(
-        program,
+    run = run_session(SessionSpec(
+        program=program,
         profile=ProfileMeConfig(mean_interval=60, paired=True,
                                 pair_window=96, seed=2),
-        collect_truth=True,
-    )
+        collect_truth=True))
 
     analyzer = run.pair_analyzer
     # Calibrate with the measured pair rate (see benchmarks/).

@@ -14,7 +14,7 @@ Run:  python examples/cache_hotspots.py
 from repro.analysis.optimize import (classify_loads, page_reports,
                                      superpage_candidates)
 from repro.analysis.reports import format_table
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -23,11 +23,9 @@ def main():
     program = suite_program("vortex", scale=2)
     print("Profiling %r (%d static instructions) with address "
           "retention..." % (program.name, len(program)))
-    run = run_profiled(
-        program,
-        profile=ProfileMeConfig(mean_interval=40, seed=5),
-        keep_addresses=64,
-    )
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=40, seed=5),
+        keep_addresses=64))
     print("Collected %d samples over %d cycles.\n"
           % (run.driver.delivered, run.cycles))
 

@@ -18,7 +18,7 @@ from repro.analysis.convergence import (convergence_points,
                                         retired_property)
 from repro.analysis.database import ProfileDatabase
 from repro.analysis.persistence import load_database, save_database
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -37,11 +37,11 @@ def main():
           % (program.name, RUNS, INTERVAL, workdir))
 
     for run_index in range(RUNS):
-        run = run_profiled(
-            program,
+        run = run_session(SessionSpec(
+            program=program,
             profile=ProfileMeConfig(mean_interval=INTERVAL,
                                     seed=100 + run_index),
-            collect_truth=True, keep_records=False)
+            collect_truth=True, keep_records=False))
         truth = run.truth  # identical every run (same program)
         total_fetched += run.truth.total_fetched
 

@@ -13,8 +13,7 @@ from repro.analysis.optimize import (function_heat,
                                      layout_order_from_profile,
                                      reorder_functions)
 from repro.cpu.config import MachineConfig
-from repro.events import Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.isa import ProgramBuilder
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
@@ -58,7 +57,8 @@ def main():
                         associativity=1)))
     profile = ProfileMeConfig(mean_interval=20, seed=3)
 
-    before = run_profiled(program, config=config, profile=profile)
+    before = run_session(SessionSpec(
+        program=program, config=config, profile=profile))
     print("Baseline: %d cycles, %d I-cache misses"
           % (before.cycles, before.core.hierarchy.l1i.misses))
 
@@ -70,7 +70,8 @@ def main():
     print("\nChosen layout order: %s" % ", ".join(order))
     improved = reorder_functions(program, order)
 
-    after = run_profiled(improved, config=config, profile=profile)
+    after = run_session(SessionSpec(
+        program=improved, config=config, profile=profile))
     print("\nAfter reordering: %d cycles, %d I-cache misses"
           % (after.cycles, after.core.hierarchy.l1i.misses))
     assert after.core.retired == before.core.retired

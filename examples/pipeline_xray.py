@@ -14,7 +14,7 @@ Run:  python examples/pipeline_xray.py
 from repro.analysis.pipeline_state import (PipelineStateEstimator,
                                            conditional_concurrency,
                                            memory_shadow_overlap)
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme import ProfileMeConfig
 from repro.workloads import fig7_three_loops
 
@@ -34,11 +34,10 @@ def render_series(label, series, step=4):
 
 def main():
     program, regions = fig7_three_loops(iterations=400)
-    run = run_profiled(
-        program,
+    run = run_session(SessionSpec(
+        program=program,
         profile=ProfileMeConfig(mean_interval=40, group_size=4,
-                                pair_window=12, seed=13),
-    )
+                                pair_window=12, seed=13)))
     print("Collected %d four-way sample groups (%d member pairs).\n"
           % (len(run.driver.groups), run.pair_analyzer.pairs_usable))
 

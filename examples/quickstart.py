@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro.analysis.reports import latency_table
 from repro.events import Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.isa import ProgramBuilder
 from repro.profileme import ProfileMeConfig
 
@@ -36,10 +36,8 @@ def build_program():
 
 def main():
     program = build_program()
-    run = run_profiled(
-        program,
-        profile=ProfileMeConfig(mean_interval=25, seed=1),
-    )
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=25, seed=1)))
 
     core = run.core
     print("Simulated %d instructions in %d cycles (IPC %.2f), "

@@ -6,16 +6,19 @@ docs/ for prose deep-dives (hardware model, statistics, workloads).
 
 The most common entry points are re-exported here::
 
-    from repro import run_profiled, ProfileMeConfig, suite_program
+    from repro import ProfileMeConfig, SessionSpec, run_session, \
+        suite_program
 
-    run = run_profiled(suite_program("gcc"), profile=ProfileMeConfig(
-        mean_interval=200, paired=True))
+    result = run_session(SessionSpec(
+        program=suite_program("gcc"),
+        profile=ProfileMeConfig(mean_interval=200, paired=True)))
 """
 
-from repro.harness import ProfiledRun, make_core, run_profiled, \
-    run_with_counter
+# repro.profileme loads before repro.engine: the engine's cores import
+# the ProfileMe unit, which imports the engine's probe bus.
 from repro.profileme import (GroupRecord, PairedRecord, ProfileMeConfig,
                              ProfileRecord)
+from repro.engine.session import SessionSpec, run_session
 from repro.workloads import (classic_kernel, fig2_loop, fig7_three_loops,
                              stall_kernel, suite_program)
 
@@ -26,13 +29,11 @@ __all__ = [
     "PairedRecord",
     "ProfileMeConfig",
     "ProfileRecord",
-    "ProfiledRun",
+    "SessionSpec",
     "classic_kernel",
     "fig2_loop",
     "fig7_three_loops",
-    "make_core",
-    "run_profiled",
-    "run_with_counter",
+    "run_session",
     "stall_kernel",
     "suite_program",
 ]

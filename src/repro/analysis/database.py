@@ -41,6 +41,7 @@ import heapq
 import operator
 from array import array
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict
 
 from repro.errors import AnalysisError
@@ -323,8 +324,7 @@ class _ColumnStore:
             sq_col[row] += count * value * value
 
     def set_profile(self, pc, profile):
-        """Replace *pc*'s row with the contents of a :class:`PcProfile`
-        (the ``per_pc[pc] = profile`` write-through path)."""
+        """Replace *pc*'s row with the contents of a :class:`PcProfile`."""
         row = self.index.get(pc)
         if row is None:
             row = self._new_row(pc)
@@ -460,24 +460,6 @@ class _Bucket:
         self.level, self.start, self.span, self.store = state
 
 
-class _PerPcDict(dict):
-    """The materialized ``per_pc`` view: a real dict of
-    :class:`PcProfile` rows that writes assignments back through to the
-    owning database's columns (``database.per_pc[pc] = profile`` is the
-    historical bulk-load idiom of the persistence/PGO/multiprog layers).
-    """
-
-    __slots__ = ("_database",)
-
-    def __init__(self, database):
-        super().__init__()
-        self._database = database
-
-    def __setitem__(self, pc, profile):
-        dict.__setitem__(self, pc, profile)
-        self._database._assign_profile(pc, profile)
-
-
 class ProfileDatabase:
     """Per-PC aggregation sink for ProfileMe records."""
 
@@ -525,9 +507,9 @@ class ProfileDatabase:
         self._merged = None
         self._merged_generation = -1
 
-    # The per_pc view and the merged-store scratch hold references back
-    # into the database; both are caches, dropped on pickle (worker
-    # checkpoints pickle whole databases).
+    # The per_pc view and the merged-store scratch are caches, dropped
+    # on pickle (worker checkpoints pickle whole databases; a
+    # MappingProxyType does not pickle).
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_view"] = None
@@ -674,11 +656,14 @@ class ProfileDatabase:
                 self.probes[name] = series
             series.add(value, tick)
 
-    def _assign_profile(self, pc, profile):
-        """Write-through for ``per_pc[pc] = profile`` (replace semantics,
-        keyed by the mapping key — the multiprog layer re-keys profiles
-        under context-shifted PCs).  Does not touch ``total_samples``,
-        matching the historical plain-dict behaviour."""
+    def set_profile(self, pc, profile):
+        """Replace *pc*'s aggregate with the contents of *profile*.
+
+        The row is keyed by *pc*, not ``profile.pc`` (the multiprog
+        layer re-keys profiles under context-shifted PCs).  Bulk loaders
+        use this to rebuild a database from profiles; it leaves
+        ``total_samples`` untouched, so the loader sets that itself.
+        """
         store = self._single
         if store is None:
             current = self._current
@@ -693,20 +678,16 @@ class ProfileDatabase:
         else:
             self._addresses.pop(pc, None)
         self._generation += 1
-        # The caller came through the live view, which already holds the
-        # assignment — keep it valid instead of rebuilding.
-        if self._view is not None:
-            self._view_generation = self._generation
 
     # ------------------------------------------------------------------
     # Views.
 
     @property
     def per_pc(self):
-        """``{pc: PcProfile}`` materialized from the columns (cached
-        until the next mutation; assignments write back through)."""
+        """Read-only ``{pc: PcProfile}`` materialized from the columns
+        (cached until the next mutation); write with :meth:`set_profile`."""
         if self._view is None or self._view_generation != self._generation:
-            view = _PerPcDict(self)
+            view = {}
             addresses = self._addresses
             for store in self._stores():
                 index = store.index
@@ -714,9 +695,8 @@ class ProfileDatabase:
                 for pc in store.pcs:
                     if pc in view:
                         continue
-                    dict.__setitem__(view, pc, profile_at(
-                        index[pc], pc, addresses.get(pc)))
-            self._view = view
+                    view[pc] = profile_at(index[pc], pc, addresses.get(pc))
+            self._view = MappingProxyType(view)
             self._view_generation = self._generation
         return self._view
 

@@ -192,7 +192,7 @@ def database_from_dict(data):
             database.total_samples = data["total_samples"]
             for pc_text, payload in data["per_pc"].items():
                 pc = int(pc_text)
-                database.per_pc[pc] = _profile_from_payload(pc, payload)
+                database.set_profile(pc, _profile_from_payload(pc, payload))
         for name, fields in data.get("probes", {}).items():
             count, total, minimum, maximum, last, last_tick = fields
             database.probes[name] = ProbeSeries(

@@ -21,7 +21,7 @@ instruction index``, valid for ordering but not for latency math.
 from dataclasses import dataclass
 
 from repro.analysis.database import ProfileDatabase
-from repro.analysis.groundtruth import PcTruth
+from repro.analysis.groundtruth import TRACKED_EVENTS, PcTruth
 from repro.cpu.warm import WarmState
 from repro.errors import ConfigError
 from repro.events import AbortReason, Event
@@ -111,15 +111,35 @@ class FunctionalProfiler:
             return self._run_fused(max_instructions)
         return self._run_observed(max_instructions)
 
-    def _run_observed(self, max_instructions):
+    def _sample_record(self, pc, inst, events, history, eff_addr, next_pc,
+                       retired):
+        """The ProfileRecord for one sampled retired instruction.
+
+        Memory ops report their effective address, indirect jumps and
+        returns their target; there are no latency registers.
+        """
         from repro.profileme.registers import ProfileRecord
 
+        addr = None
+        if inst.is_memory or inst.is_prefetch:
+            addr = eff_addr
+        elif inst.op in (Opcode.JMP, Opcode.RET):
+            addr = next_pc
+        context = self.profile.context
+        return ProfileRecord(
+            context=context if context is not None else 0, pc=pc,
+            op=inst.op, addr=addr, events=Event(events),
+            abort_reason=AbortReason.NONE,
+            history=history & ((1 << self.profile.path_bits) - 1),
+            fetch_to_map=None, map_to_data_ready=None,
+            data_ready_to_issue=None, issue_to_retire_ready=None,
+            retire_ready_to_retire=None, load_issue_to_completion=None,
+            fetch_cycle=retired, done_cycle=retired)
+
+    def _run_observed(self, max_instructions):
         program = self.program
         interp = Interpreter(program)
         observe = self.warm.observe
-        path_mask = (1 << self.profile.path_bits) - 1
-        context = self.profile.context if self.profile.context is not None \
-            else 0
 
         database = ProfileDatabase()
         records = []
@@ -135,37 +155,22 @@ class FunctionalProfiler:
             if events & _MISPREDICT:
                 mispredicts += 1
 
-            if self.collect_truth:
-                pc_truth = truth.get(entry.pc)
-                if pc_truth is None:
-                    pc_truth = PcTruth()
-                    truth[entry.pc] = pc_truth
-                pc_truth.fetched += 1
-                pc_truth.retired += 1
-                from repro.analysis.groundtruth import TRACKED_EVENTS
-
-                for flag in TRACKED_EVENTS:
-                    if events & flag:
-                        pc_truth.events[flag] = \
-                            pc_truth.events.get(flag, 0) + 1
+            pc_truth = truth.get(entry.pc)
+            if pc_truth is None:
+                pc_truth = PcTruth()
+                truth[entry.pc] = pc_truth
+            pc_truth.fetched += 1
+            pc_truth.retired += 1
+            for flag in TRACKED_EVENTS:
+                if events & flag:
+                    pc_truth.events[flag] = pc_truth.events.get(flag, 0) + 1
 
             countdown -= 1
             if countdown == 0:
                 countdown = self._next_interval()
-                addr = None
-                if inst.is_memory or inst.is_prefetch:
-                    addr = entry.eff_addr
-                elif inst.op in (Opcode.JMP, Opcode.RET):
-                    addr = entry.next_pc
-                record = ProfileRecord(
-                    context=context, pc=entry.pc, op=inst.op, addr=addr,
-                    events=Event(events), abort_reason=AbortReason.NONE,
-                    history=history & path_mask,
-                    fetch_to_map=None, map_to_data_ready=None,
-                    data_ready_to_issue=None, issue_to_retire_ready=None,
-                    retire_ready_to_retire=None,
-                    load_issue_to_completion=None,
-                    fetch_cycle=retired, done_cycle=retired)
+                record = self._sample_record(
+                    entry.pc, inst, events, history, entry.eff_addr,
+                    entry.next_pc, retired)
                 database.add_record(record)
                 if self.keep_records:
                     records.append(record)
@@ -179,7 +184,6 @@ class FunctionalProfiler:
     def _run_fused(self, max_instructions):
         """Trace-cache execution: fused blocks between sampling points."""
         from repro.cpu.tracecache import BlockCache
-        from repro.profileme.registers import ProfileRecord
 
         program = self.program
         interp = Interpreter(program)
@@ -188,9 +192,6 @@ class FunctionalProfiler:
         warm = self.warm
         observe = warm.observe
         cache = BlockCache(program)
-        path_mask = (1 << self.profile.path_bits) - 1
-        context = self.profile.context if self.profile.context is not None \
-            else 0
 
         database = ProfileDatabase()
         records = []
@@ -225,20 +226,8 @@ class FunctionalProfiler:
             countdown -= 1
             if countdown == 0:
                 countdown = self._next_interval()
-                addr = None
-                if inst.is_memory or inst.is_prefetch:
-                    addr = eff_addr
-                elif inst.op in (Opcode.JMP, Opcode.RET):
-                    addr = next_pc
-                record = ProfileRecord(
-                    context=context, pc=pc, op=inst.op, addr=addr,
-                    events=Event(events), abort_reason=AbortReason.NONE,
-                    history=history & path_mask,
-                    fetch_to_map=None, map_to_data_ready=None,
-                    data_ready_to_issue=None, issue_to_retire_ready=None,
-                    retire_ready_to_retire=None,
-                    load_issue_to_completion=None,
-                    fetch_cycle=retired, done_cycle=retired)
+                record = self._sample_record(pc, inst, events, history,
+                                             eff_addr, next_pc, retired)
                 database.add_record(record)
                 if self.keep_records:
                     records.append(record)

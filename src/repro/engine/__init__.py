@@ -11,14 +11,12 @@ through this layer:
   detection, resumable ``drain=False`` stepping) and probe plumbing
   shared by every core;
 * :class:`SessionSpec` / :func:`run_session` — declarative description
-  of one experiment (program + machine + profilers), subsuming the
-  harness entry points and the per-context wiring in ``repro.multiprog``;
-* :func:`run_sessions_parallel` — fans independent sessions across
-  worker processes for sweeps;
-* :func:`run_sweep` — the resumable, fault-tolerant sweep layer above
-  it: content-addressed result caching (:func:`spec_key` /
-  :class:`ResultStore`), per-spec timeout and retry, chunked
-  checkpoints, and live :class:`SweepMetrics`.
+  of one experiment (program + machine + profilers) and the only way to
+  run one, including the per-context wiring of ``repro.multiprog``;
+* :func:`run_sweep` — fans independent sessions across worker
+  processes, resumably and fault-tolerantly: content-addressed result
+  caching (:func:`spec_key` / :class:`ResultStore`), per-spec timeout
+  and retry, chunked checkpoints, and live :class:`SweepMetrics`.
 
 See ``docs/architecture.md`` for the design rationale.
 """
@@ -26,16 +24,15 @@ See ``docs/architecture.md`` for the design rationale.
 from repro.engine.bus import PROBE_CALLBACKS, ProbeBus, probe_overrides
 from repro.engine.core import CoreBase
 
-# The session/parallel layers sit *above* the cores (they import the
+# The session/sweep layers sit *above* the cores (they import the
 # machine models), while the cores themselves import CoreBase/ProbeBus
 # from this package.  Loading them eagerly here would therefore be
 # circular; PEP 562 lazy attributes keep `repro.engine.run_session`
 # spelling working without the cycle.
-_SESSION_EXPORTS = ("CoreStats", "CounterRun", "ProfileStack",
+_SESSION_EXPORTS = ("CoreStats", "ProfileStack",
                     "SessionResult", "SessionSpec", "attach_profileme",
                     "build_core", "profile_config_for_context",
                     "run_session")
-_PARALLEL_EXPORTS = ("run_sessions_parallel",)
 _SWEEP_EXPORTS = ("ResultStore", "SpecOutcome", "SweepMetrics",
                   "SweepResult", "run_sweep", "spec_key")
 
@@ -45,10 +42,6 @@ def __getattr__(name):
         from repro.engine import session
 
         return getattr(session, name)
-    if name in _PARALLEL_EXPORTS:
-        from repro.engine import parallel
-
-        return getattr(parallel, name)
     if name in _SWEEP_EXPORTS:
         from repro.engine import sweep
 
@@ -60,7 +53,6 @@ def __getattr__(name):
 __all__ = [
     "CoreBase",
     "CoreStats",
-    "CounterRun",
     "PROBE_CALLBACKS",
     "ProbeBus",
     "ProfileStack",
@@ -75,7 +67,6 @@ __all__ = [
     "probe_overrides",
     "profile_config_for_context",
     "run_session",
-    "run_sessions_parallel",
     "run_sweep",
     "spec_key",
 ]

@@ -2,14 +2,18 @@
 
 A :class:`SessionSpec` fully describes one experiment — which programs
 run, on which machine model, with which profiling hardware attached —
-and :func:`run_session` turns it into a :class:`SessionResult`.  The
-public harness entry points (``run_profiled``, ``run_with_counter``) and
-the multiprogrammed session build on this layer, so there is exactly one
-place that wires a machine to its observers.
+and :func:`run_session` turns it into a :class:`SessionResult`.  It is
+the only way to run a session — examples, benchmarks, the CLI and the
+multiprogrammed session all build on it — so there is exactly one place
+that wires a machine to its observers::
 
-Specs are plain picklable data: :func:`repro.engine.parallel.
-run_sessions_parallel` ships them to worker processes and gets results
-back, with all randomness pinned by the seeds the spec carries.
+    result = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=200)))
+    result.database.top_by_event(Event.DCACHE_MISS)
+
+Specs are plain picklable data: :func:`repro.engine.sweep.run_sweep`
+ships them to worker processes and gets results back, with all
+randomness pinned by the seeds the spec carries.
 """
 
 import dataclasses
@@ -72,7 +76,7 @@ def _static_predictor(program, cfg, static_hints):
 
 
 # ----------------------------------------------------------------------
-# ProfileMe wiring (shared by the harness, SMT, and multiprog sessions).
+# ProfileMe wiring (shared by single-context, SMT, and multiprog sessions).
 
 
 def profile_config_for_context(profile, context):
@@ -372,7 +376,7 @@ class SessionResult:
     def detach(self):
         """Drop the simulator objects, keeping the measured outputs.
 
-        After detaching, the result is cheap to pickle: the parallel
+        After detaching, the result is cheap to pickle: the sweep
         runner calls this in the worker so only profiles, samples, and
         summary statistics cross the process boundary.
         """
@@ -382,23 +386,6 @@ class SessionResult:
         self.unit = None
         self.multi = None
         return self
-
-
-@dataclass
-class CounterRun:
-    """Result of a counter-baseline run.
-
-    Iterable for compatibility with the historical
-    ``core, counter = run_with_counter(...)`` tuple unpacking, while
-    also carrying the cycle count that the tuple silently dropped.
-    """
-
-    core: Any
-    counter: EventCounter
-    cycles: int
-
-    def __iter__(self):
-        return iter((self.core, self.counter))
 
 
 # ----------------------------------------------------------------------

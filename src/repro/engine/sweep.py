@@ -4,8 +4,8 @@ The paper's results (sections 4-6) all come from *sweeps* — grids of
 sessions over sampling intervals, seeds, workloads, and pairing
 configurations — and DCPI-style continuous profiling assumes collection
 survives interruption and accumulates across runs.  This module is the
-sweep engine those experiments run on, one layer above
-:func:`~repro.engine.parallel.run_sessions_parallel`:
+sweep engine those experiments run on and the only way to fan sessions
+across worker processes:
 
 * **Content-addressed result cache.**  :func:`spec_key` hashes the
   canonical form of a :class:`~repro.engine.session.SessionSpec`
@@ -44,6 +44,7 @@ test_sweep.py`` verifies sweep output byte-equal to serial execution.
 
 import json
 import hashlib
+import multiprocessing
 import os
 import time
 import traceback
@@ -54,7 +55,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.persistence import (result_from_dict, result_to_dict,
                                         save_result)
-from repro.engine.parallel import _pool_context
 from repro.engine.session import run_session
 from repro.errors import PersistenceError, SweepError
 
@@ -283,6 +283,12 @@ class _Attempt:
 # Parent side.
 
 
+def _pool_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
 def _chunks(items, size):
     for start in range(0, len(items), size):
         yield items[start:start + size]
@@ -395,8 +401,7 @@ def run_sweep(specs, workers=None, timeout=None, retries=1, store=None,
             :class:`~repro.engine.session.SessionSpec`).
         workers: concurrent worker processes; defaults to
             ``min(len(specs), cpu_count)``.  ``workers <= 1`` with no
-            *timeout* runs inline (no processes), same as the parallel
-            runner's serial path.
+            *timeout* runs inline (no processes).
         timeout: per-attempt wall-clock seconds; a worker past its
             deadline is terminated.  Setting a timeout forces process
             isolation even for ``workers=1`` (an inline hang cannot be

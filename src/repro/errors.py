@@ -64,14 +64,5 @@ class ProtocolError(ServiceError):
     """
 
 
-class WorkerError(ReproError):
-    """A worker process failed while executing one session spec.
-
-    Raised in the *parent* process; the message carries the failing
-    spec's index and repr plus the worker's formatted traceback, which
-    multiprocessing would otherwise lose.
-    """
-
-
 class SweepError(ReproError):
     """A sweep was misconfigured or its checkpoint store is unusable."""

@@ -106,7 +106,6 @@ class MultiProgramSession:
                 driver = stack.driver
                 database = stack.database
                 unit = stack.unit
-                core._profileme_unit = unit  # legacy access path
             self.contexts.append(ContextResult(
                 context=index, program=program, core=core, driver=driver,
                 database=database, unit=unit))
@@ -157,7 +156,7 @@ class MultiProgramSession:
                 raise ConfigError("profiling was not enabled")
             for pc, profile in ctx.database.per_pc.items():
                 shifted = ProfileDatabase()
-                shifted.per_pc[(ctx.context << 32) | pc] = profile
+                shifted.set_profile((ctx.context << 32) | pc, profile)
                 shifted.total_samples = profile.samples
                 merged.merge(shifted)
         return merged

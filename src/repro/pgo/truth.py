@@ -60,6 +60,6 @@ def database_from_truth(truth, program=None):
                 # never read the variance, so zero is safe here.
                 aggregate.total_sq = 0
                 profile.latencies["load_issue_to_completion"] = aggregate
-        database.per_pc[pc] = profile
+        database.set_profile(pc, profile)
         database.total_samples += profile.samples
     return database

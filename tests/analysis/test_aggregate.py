@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.aggregate import (by_function, by_loop,
                                       hierarchy_report)
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -14,8 +14,8 @@ from tests.isa.test_loops import nested_loop_program
 @pytest.fixture(scope="module")
 def profiled_compress():
     program = suite_program("compress", scale=1)
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=30, seed=2))
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=30, seed=2)))
     return program, run
 
 
@@ -58,8 +58,8 @@ class TestByLoop:
 
     def test_inner_loop_attribution(self):
         program = nested_loop_program()
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=5, seed=1))
+        run = run_session(SessionSpec(
+            program=program, profile=ProfileMeConfig(mean_interval=5, seed=1)))
         summaries = by_loop(run.database, program)
         inner_name = "main/loop@%#x" % program.pc_of_label("inner")
         outer_name = "main/loop@%#x" % program.pc_of_label("outer")

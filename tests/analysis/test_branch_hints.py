@@ -1,11 +1,9 @@
 """Tests for profile-guided static branch hints."""
 
-import pytest
-
 from repro.analysis.optimize import branch_hints_from_profile
 from repro.branch.predictors import BranchPredictor, StaticDirectionPredictor
 from repro.cpu.ooo.core import OutOfOrderCore
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.isa.builder import ProgramBuilder
 from repro.profileme.unit import ProfileMeConfig
 
@@ -77,9 +75,9 @@ class TestProfileGuidedHints:
         program = forward_taken_program()
 
         # Profile with the default (gshare) machine.
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=10,
-                                                   seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=10, seed=1)))
         hints = branch_hints_from_profile(run.database, program)
         forward_bne = next(
             pc for pc, _ in program.listing()
@@ -103,9 +101,9 @@ class TestProfileGuidedHints:
         from repro.workloads import suite_program
 
         program = suite_program("compress", scale=1)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=25,
-                                                   seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=25, seed=1)))
         hints = branch_hints_from_profile(run.database, program)
         hinted = _mispredicts(program,
                               StaticDirectionPredictor(program,
@@ -132,9 +130,9 @@ class TestProfileGuidedHints:
         b.end_function()
         program = b.build(entry="main")
 
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=10,
-                                                   seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=10, seed=1)))
         hints = branch_hints_from_profile(run.database, program)
         hinted = _mispredicts(program,
                               StaticDirectionPredictor(program,

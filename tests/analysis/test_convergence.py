@@ -6,7 +6,7 @@ from repro.analysis.convergence import (convergence_points,
                                         dcache_miss_property,
                                         envelope_fraction, retired_property,
                                         summarize)
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 
 from tests.conftest import counting_loop
@@ -15,9 +15,9 @@ from tests.conftest import counting_loop
 @pytest.fixture(scope="module")
 def loop_run():
     program = counting_loop(iterations=4000)
-    return run_profiled(program,
-                        profile=ProfileMeConfig(mean_interval=13, seed=21),
-                        collect_truth=True)
+    return run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=13, seed=21),
+        collect_truth=True))
 
 
 def test_points_have_expected_shape(loop_run):
@@ -49,9 +49,9 @@ def test_envelope_fraction_near_two_thirds(loop_run):
 
 
 def test_dcache_property_on_memory_program(memory_program):
-    run = run_profiled(memory_program,
-                       profile=ProfileMeConfig(mean_interval=3, seed=2),
-                       collect_truth=True)
+    run = run_session(SessionSpec(
+        program=memory_program,
+        profile=ProfileMeConfig(mean_interval=3, seed=2), collect_truth=True))
     points = convergence_points(run.database, run.truth, 3,
                                 dcache_miss_property)
     # The array walk has at least some D-cache misses to estimate.

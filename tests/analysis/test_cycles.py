@@ -6,7 +6,7 @@ from repro.analysis.cycles import (event_attribution, format_breakdown,
                                    per_pc_breakdown, program_breakdown)
 from repro.analysis.database import ProfileDatabase
 from repro.errors import AnalysisError
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import stall_kernel
 
@@ -61,15 +61,17 @@ class TestProgramBreakdown:
 
     def test_dep_chain_kernel_is_dependence_bound(self):
         program = stall_kernel("dep_chain", iterations=150)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=15, seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=15, seed=1)))
         totals, fractions = program_breakdown(run.database, 15)
         assert fractions["dependences"] > 0.4
 
     def test_fu_kernel_shows_contention(self):
         program = stall_kernel("fu_contention", iterations=150)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=15, seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=15, seed=1)))
         totals, fractions = program_breakdown(run.database, 15)
         assert fractions["fu_contention"] > 0.1
 
@@ -89,8 +91,9 @@ class TestEventAttribution:
 class TestFormatting:
     def test_format_breakdown_text(self):
         program = counting_loop(iterations=400)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=10, seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=10, seed=1)))
         totals, fractions = program_breakdown(run.database, 10)
         text = format_breakdown(totals, fractions,
                                 event_attribution(run.database))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.database import LatencyAggregate, ProfileDatabase
+from repro.analysis.database import ProfileDatabase
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import PairedRecord, ProfileRecord
@@ -110,6 +110,28 @@ class TestQueries:
         db = ProfileDatabase()
         assert db.profile(0x99) is None
         assert db.samples_at(0x99) == 0
+
+
+class TestSetProfile:
+    def test_replaces_row_and_leaves_total_samples(self):
+        source = ProfileDatabase()
+        for _ in range(3):
+            source.add(make_record(events=Event.RETIRED | Event.DCACHE_MISS))
+        db = ProfileDatabase()
+        db.add(make_record(pc=0x40))
+        db.set_profile(0x40, source.profile(0x10))
+        profile = db.profile(0x40)
+        assert profile.samples == 3
+        assert profile.event_count(Event.DCACHE_MISS) == 3
+        assert profile.latency("fetch_to_map").count == 3
+        assert db.total_samples == 1  # the loader sets it itself
+
+    def test_per_pc_is_read_only(self):
+        db = ProfileDatabase()
+        db.add(make_record())
+        with pytest.raises(TypeError):
+            db.per_pc[0x20] = db.profile(0x10)
+        assert list(db.per_pc) == [0x10]
 
 
 class TestMerge:

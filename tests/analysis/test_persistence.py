@@ -11,7 +11,7 @@ from repro.analysis.persistence import (database_from_dict,
 from repro.analysis.database import ProfileDatabase
 from repro.errors import AnalysisError, PersistenceError
 from repro.events import Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 
 from tests.analysis.test_database import make_record
@@ -52,8 +52,9 @@ class TestRoundTrip:
 
     def test_real_run_round_trip(self, tmp_path):
         program = counting_loop(iterations=500)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=10, seed=1))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=10, seed=1)))
         path = tmp_path / "run.json"
         save_database(run.database, str(path))
         clone = load_database(str(path))

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.analysis.pipeline_state import (ConcurrencySplit,
-                                           PipelineStateEstimator,
+from repro.analysis.pipeline_state import (PipelineStateEstimator,
                                            conditional_concurrency,
                                            memory_shadow_overlap, stage_at)
 from repro.analysis.concurrency import stage_times
 from repro.errors import AnalysisError
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import fig7_three_loops
 
@@ -61,8 +60,10 @@ class TestPipelineStateEstimator:
 
     def test_real_run_occupancy_sane(self):
         program, _ = fig7_three_loops(iterations=150)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=30, paired=True, pair_window=64, seed=11))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=30, paired=True, pair_window=64, seed=11)))
         estimator = PipelineStateEstimator(max_offset=32)
         for sample in run.pairs:
             estimator.add(sample)

@@ -7,7 +7,7 @@ from repro.analysis.optimize import (detect_stride, insert_instructions,
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.inorder.core import InOrderCore
 from repro.errors import AnalysisError
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import Interpreter
@@ -123,8 +123,9 @@ class TestStrideDetection:
 class TestPrefetchPass:
     def _profiled_kernel(self):
         program = stall_kernel("dcache_miss", iterations=400)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=20, seed=3))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=20, seed=3)))
         return program, run
 
     def test_plans_target_missing_load(self):
@@ -158,8 +159,9 @@ class TestPrefetchPass:
         from tests.conftest import counting_loop
 
         program = counting_loop(iterations=500)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=20, seed=3))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=20, seed=3)))
         assert plan_prefetches(program, run.database) == []
 
 

@@ -3,7 +3,7 @@
 from repro.analysis.bottlenecks import instruction_metrics
 from repro.analysis.reports import (bottleneck_report, format_table,
                                     histogram_ascii, latency_table)
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 
 from tests.conftest import counting_loop
@@ -28,8 +28,8 @@ def test_histogram_ascii():
 
 def test_latency_table_from_run():
     program = counting_loop(iterations=400)
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=10, seed=1))
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=10, seed=1)))
     text = latency_table(run.database, program=program)
     assert "fetch_to_map" in text
     assert "lda" in text
@@ -37,8 +37,10 @@ def test_latency_table_from_run():
 
 def test_bottleneck_report_from_run():
     program = counting_loop(iterations=600)
-    run = run_profiled(program, profile=ProfileMeConfig(
-        mean_interval=20, paired=True, pair_window=16, seed=1))
+    run = run_session(SessionSpec(
+        program=program,
+        profile=ProfileMeConfig(
+            mean_interval=20, paired=True, pair_window=16, seed=1)))
     metrics = instruction_metrics(run.database, 20,
                                   pair_analyzer=run.pair_analyzer)
     text = bottleneck_report(metrics, run.database, program=program)

@@ -127,7 +127,7 @@ class TestCounting:
         """ProfileMe sees every event kind in one run, phases and all."""
         from repro.analysis.convergence import effective_interval
         from repro.events import Event
-        from repro.harness import run_profiled
+        from repro.engine.session import SessionSpec, run_session
         from repro.profileme.unit import ProfileMeConfig
 
         # Larger phases so the miss-sample count escapes small-k noise
@@ -135,11 +135,12 @@ class TestCounting:
         # replicated register sets so the miss-heavy phase's long sample
         # flights don't cause correlated selection drops.
         program = phased_program(phase_a_iters=1500, phase_b_iters=1500)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=40,
-                                                   register_sets=4,
-                                                   seed=3),
-                           collect_truth=True)
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=40,
+                                    register_sets=4,
+                                    seed=3),
+            collect_truth=True))
         s_eff = effective_interval(run.truth.total_fetched,
                                    run.database.total_samples)
         true_misses = sum(t.count_event(Event.DCACHE_MISS)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cpu.functional import FunctionalProfiler
 from repro.events import Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -66,10 +66,10 @@ class TestEstimatorAgreement:
         fast = FunctionalProfiler(
             program, profile=ProfileMeConfig(mean_interval=50, seed=1))
         fast_run = fast.run()
-        slow = run_profiled(program,
-                            profile=ProfileMeConfig(mean_interval=50,
-                                                    seed=1),
-                            collect_truth=True)
+        slow = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=50, seed=1),
+            collect_truth=True))
 
         def miss_count(truth_map):
             return sum(t.count_event(Event.DCACHE_MISS)
@@ -110,8 +110,9 @@ class TestSpeed:
         fast_time = time.time() - start
 
         start = time.time()
-        run_profiled(program, profile=ProfileMeConfig(mean_interval=100,
-                                                      seed=1))
+        run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=100, seed=1)))
         slow_time = time.time() - start
         assert fast_time < slow_time / 2
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.smt import SmtCore, smt_speedup
 from repro.errors import ConfigError
-from repro.harness import ProfileMeDriver
+from repro.profileme.driver import ProfileMeDriver
 from repro.isa.interpreter import Interpreter
 from repro.analysis.database import ProfileDatabase
 from repro.profileme.unit import ProfileMeConfig, ProfileMeUnit

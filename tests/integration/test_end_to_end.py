@@ -9,13 +9,13 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.bottlenecks import instruction_metrics, rank_agreement
+from repro.analysis.bottlenecks import instruction_metrics
 from repro.analysis.concurrency import ipc_variability
 from repro.analysis.convergence import (convergence_points,
                                         envelope_fraction, retired_property)
 from repro.analysis.pathprof import run_reconstruction_experiment
 from repro.counters.counter import CounterConfig, CounterEvent
-from repro.harness import run_profiled, run_with_counter
+from repro.engine.session import SessionSpec, run_session
 from repro.isa.interpreter import functional_trace
 from repro.profileme.unit import ProfileMeConfig
 from repro.utils.rng import SamplingRng
@@ -31,26 +31,30 @@ class TestFig2AttributionShapes:
 
     def test_inorder_single_peak(self, loop):
         program, load_pc = loop
-        _, counter = run_with_counter(
-            program, CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
-                                   skid_cycles=6), core_kind="inorder")
+        counter = run_session(SessionSpec(
+            program=program,
+            counter=CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
+                                  skid_cycles=6),
+            core_kind="inorder")).counter
         offsets = {s.delivered_pc - load_pc for s in counter.samples}
         assert len(offsets) == 1
 
     def test_ooo_smear(self, loop):
         program, load_pc = loop
-        _, counter = run_with_counter(
-            program, CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
-                                   skid_cycles=6, skid_jitter_cycles=8),
-            core_kind="ooo")
+        counter = run_session(SessionSpec(
+            program=program,
+            counter=CounterConfig(event=CounterEvent.DCACHE_REF, period=7,
+                                  skid_cycles=6, skid_jitter_cycles=8),
+            core_kind="ooo")).counter
         offsets = Counter(s.delivered_pc - load_pc
                           for s in counter.samples)
         assert len(offsets) >= 4
 
     def test_profileme_attributes_exactly(self, loop):
         program, load_pc = loop
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=40, seed=7))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=40, seed=7)))
         memory_samples = [r for r in run.records
                           if r.op is not None and r.op.value == "ld"]
         assert memory_samples
@@ -62,8 +66,10 @@ class TestFig3Convergence:
         from repro.analysis.convergence import effective_interval
 
         program = suite_program("compress", scale=3)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=40, seed=13), collect_truth=True)
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=40, seed=13),
+            collect_truth=True))
         s_eff = effective_interval(run.truth.total_fetched,
                                    run.database.total_samples)
         points = convergence_points(run.database, run.truth, s_eff,
@@ -93,8 +99,10 @@ class TestFig6Paths:
 class TestFig7WastedSlots:
     def test_latency_and_waste_diverge_across_loops(self):
         program, regions = fig7_three_loops(iterations=120)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=30, paired=True, pair_window=96, seed=9))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=30, paired=True, pair_window=96, seed=9)))
         metrics = instruction_metrics(run.database, 30,
                                       pair_analyzer=run.pair_analyzer)
 
@@ -122,9 +130,10 @@ class TestFig7WastedSlots:
 class TestSec6IpcVariability:
     def test_windowed_ipc_varies(self):
         program = suite_program("li", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=500, seed=3), collect_truth=True,
-            truth_options={"collect_retire_series": True})
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=500, seed=3),
+            collect_truth=True, truth_options={"collect_retire_series": True}))
         windows = run.truth.windowed_ipc(window_cycles=30)
         stats = ipc_variability(windows)
         assert stats["max_min_ratio"] >= 2.0
@@ -183,16 +192,16 @@ class TestOptimizationLoop:
                             associativity=1))
         config = MachineConfig.alpha21264_like(memory=tiny_icache)
 
-        baseline = run_profiled(program, config=config,
-                                profile=ProfileMeConfig(mean_interval=20,
-                                                        seed=2))
+        baseline = run_session(SessionSpec(
+            program=program, config=config,
+            profile=ProfileMeConfig(mean_interval=20, seed=2)))
         baseline_misses = baseline.core.hierarchy.l1i.misses
 
         order = layout_order_from_profile(baseline.database, program)
         improved = reorder_functions(program, order)
-        after = run_profiled(improved, config=config,
-                             profile=ProfileMeConfig(mean_interval=20,
-                                                     seed=2))
+        after = run_session(SessionSpec(
+            program=improved, config=config,
+            profile=ProfileMeConfig(mean_interval=20, seed=2)))
         after_misses = after.core.hierarchy.l1i.misses
         assert after.core.retired == baseline.core.retired
         assert after_misses < 0.5 * baseline_misses

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness import run_profiled
-from repro.profileme.registers import GroupRecord, PairedRecord
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
@@ -42,8 +41,10 @@ class TestNWaySampling:
     @pytest.fixture(scope="class")
     def nway_run(self):
         program = suite_program("compress", scale=1)
-        return run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=80, group_size=4, pair_window=24, seed=5))
+        return run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=80, group_size=4, pair_window=24, seed=5)))
 
     def test_groups_delivered(self, nway_run):
         assert nway_run.driver.groups
@@ -92,8 +93,10 @@ class TestRegisterSets:
         program = counting_loop(iterations=4000)
         drops = {}
         for sets in (1, 4):
-            run = run_profiled(program, profile=ProfileMeConfig(
-                mean_interval=10, register_sets=sets, seed=9))
+            run = run_session(SessionSpec(
+                program=program,
+                profile=ProfileMeConfig(
+                    mean_interval=10, register_sets=sets, seed=9)))
             drops[sets] = run.unit.stats.dropped_busy
             if sets == 4:
                 assert run.unit.stats.max_concurrent_groups > 1
@@ -104,15 +107,19 @@ class TestRegisterSets:
         program = counting_loop(iterations=4000)
         delivered = {}
         for sets in (1, 4):
-            run = run_profiled(program, profile=ProfileMeConfig(
-                mean_interval=10, register_sets=sets, seed=9))
+            run = run_session(SessionSpec(
+                program=program,
+                profile=ProfileMeConfig(
+                    mean_interval=10, register_sets=sets, seed=9)))
             delivered[sets] = run.driver.delivered
         assert delivered[4] > delivered[1]
 
     def test_samples_remain_valid_with_replication(self):
         program = suite_program("go", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=15, register_sets=8, seed=3))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=15, register_sets=8, seed=3)))
         assert run.driver.delivered > 300
         for record in run.records:
             assert program.contains_pc(record.pc)
@@ -120,9 +127,11 @@ class TestRegisterSets:
 
     def test_paired_with_replication(self):
         program = suite_program("compress", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=40, paired=True, pair_window=16,
-            register_sets=4, seed=7))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=40, paired=True, pair_window=16,
+                register_sets=4, seed=7)))
         complete = [p for p in run.pairs if p.complete]
         assert complete
         for pair in complete:

@@ -6,11 +6,10 @@ a fixed workload and asserts the accounting invariants that must hold for
 leaked tags) that slip through example-based tests.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.fetch_counter import CountMode
 from repro.profileme.registers import GroupRecord, PairedRecord
 from repro.profileme.unit import ProfileMeConfig
@@ -39,7 +38,7 @@ configs = st.builds(
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs)
 def test_accounting_invariants(config):
-    run = run_profiled(_PROGRAM, profile=config)
+    run = run_session(SessionSpec(program=_PROGRAM, profile=config))
     stats = run.unit.stats
     size = config.effective_group_size
 
@@ -80,7 +79,7 @@ def test_accounting_invariants(config):
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs)
 def test_records_are_well_formed(config):
-    run = run_profiled(_PROGRAM, profile=config)
+    run = run_session(SessionSpec(program=_PROGRAM, profile=config))
     for record in run.driver.all_single_records():
         if record.op is not None:  # off-path selections have no opcode
             assert _PROGRAM.contains_pc(record.pc)
@@ -101,7 +100,7 @@ def test_records_are_well_formed(config):
 def test_sampling_is_repeatable(seed, interval):
     """Identical config + workload => identical sample stream."""
     config = ProfileMeConfig(mean_interval=interval, seed=seed)
-    first = run_profiled(_PROGRAM, profile=config)
-    second = run_profiled(_PROGRAM, profile=config)
+    first = run_session(SessionSpec(program=_PROGRAM, profile=config))
+    second = run_session(SessionSpec(program=_PROGRAM, profile=config))
     assert [r.pc for r in first.records] == [r.pc for r in second.records]
     assert first.cycles == second.cycles

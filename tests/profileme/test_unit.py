@@ -4,10 +4,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.events import AbortReason, Event
-from repro.harness import run_profiled
+from repro.engine.session import SessionSpec, run_session
 from repro.profileme.fetch_counter import CountMode
-from repro.profileme.registers import PairedRecord, ProfileRecord
-from repro.profileme.unit import ProfileMeConfig, ProfileMeUnit
+from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
 from tests.conftest import counting_loop
@@ -17,8 +16,8 @@ from tests.conftest import counting_loop
 def gcc_run():
     """One moderately branchy profiled run shared by read-only tests."""
     program = suite_program("gcc", scale=1)
-    return run_profiled(program,
-                        profile=ProfileMeConfig(mean_interval=40, seed=11))
+    return run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=40, seed=11)))
 
 
 class TestSingleSampling:
@@ -38,7 +37,7 @@ class TestSingleSampling:
         assert delivered >= 0.25 * ceiling
 
     def test_records_are_valid(self, gcc_run):
-        program = gcc_run.program
+        program = gcc_run.spec.program
         for record in gcc_run.records:
             assert program.contains_pc(record.pc)
             assert record.retired != bool(record.events & Event.ABORTED)
@@ -71,9 +70,10 @@ class TestSamplingIsUnbiased:
     def test_pc_coverage_matches_execution_profile(self):
         """Sampled PC frequencies track true fetch frequencies."""
         program = counting_loop(iterations=3000)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=11, seed=5),
-                           collect_truth=True)
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=11, seed=5),
+            collect_truth=True))
         truth = run.truth
         db = run.database
         for pc, profile in db.per_pc.items():
@@ -86,8 +86,10 @@ class TestSamplingIsUnbiased:
 class TestPairedSampling:
     def test_pairs_have_intra_latency(self):
         program = suite_program("compress", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=60, paired=True, pair_window=32, seed=2))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=60, paired=True, pair_window=32, seed=2)))
         complete = [p for p in run.pairs if p.complete]
         assert complete
         for pair in complete:
@@ -98,8 +100,10 @@ class TestPairedSampling:
 
     def test_minor_interval_spans_window(self):
         program = suite_program("compress", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=50, paired=True, pair_window=8, seed=4))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=50, paired=True, pair_window=8, seed=4)))
         distances = {p.intra_pair_distance for p in run.pairs
                      if p.intra_pair_distance is not None}
         assert len(distances) >= 6  # draws cover most of [1, 8]
@@ -110,8 +114,10 @@ class TestBuffering:
         program = counting_loop(iterations=2000)
         runs = {}
         for depth in (1, 8):
-            run = run_profiled(program, profile=ProfileMeConfig(
-                mean_interval=20, buffer_depth=depth, seed=3))
+            run = run_session(SessionSpec(
+                program=program,
+                profile=ProfileMeConfig(
+                    mean_interval=20, buffer_depth=depth, seed=3)))
             runs[depth] = run.unit.stats
         assert runs[1].interrupts > runs[8].interrupts * 4
         assert runs[1].records_delivered == pytest.approx(
@@ -119,17 +125,23 @@ class TestBuffering:
 
     def test_interrupt_cost_slows_machine(self):
         program = counting_loop(iterations=2000)
-        cheap = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=20, interrupt_cost_cycles=0, seed=3))
-        costly = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=20, interrupt_cost_cycles=100, seed=3))
+        cheap = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=20, interrupt_cost_cycles=0, seed=3)))
+        costly = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=20, interrupt_cost_cycles=100, seed=3)))
         assert costly.cycles > cheap.cycles
         assert costly.unit.stats.overhead_cycles > 0
 
     def test_finalize_flushes_partial_buffer(self):
         program = counting_loop(iterations=500)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=30, buffer_depth=64, seed=3))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=30, buffer_depth=64, seed=3)))
         # Far fewer samples than the buffer: without finalize they'd be lost.
         assert run.driver.delivered > 0
         assert run.unit.stats.records_delivered == run.driver.delivered
@@ -138,10 +150,14 @@ class TestBuffering:
 class TestFetchModes:
     def test_opportunity_mode_wastes_selections(self):
         program = suite_program("gcc", scale=1)
-        inst_run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=50, mode=CountMode.INSTRUCTIONS, seed=8))
-        opp_run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=50, mode=CountMode.FETCH_OPPORTUNITIES, seed=8))
+        inst_run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=50, mode=CountMode.INSTRUCTIONS, seed=8)))
+        opp_run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=50, mode=CountMode.FETCH_OPPORTUNITIES, seed=8)))
         assert inst_run.unit.stats.useful_fraction == 1.0
         assert opp_run.unit.stats.useful_fraction < 1.0
         wasted = (opp_run.unit.stats.empty_selections
@@ -150,8 +166,10 @@ class TestFetchModes:
 
     def test_offpath_selections_produce_discard_records(self):
         program = suite_program("go", scale=1)
-        run = run_profiled(program, profile=ProfileMeConfig(
-            mean_interval=50, mode=CountMode.FETCH_OPPORTUNITIES, seed=8))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(
+                mean_interval=50, mode=CountMode.FETCH_OPPORTUNITIES, seed=8)))
         discards = [r for r in run.records
                     if r.abort_reason is AbortReason.FETCH_DISCARD]
         if run.unit.stats.offpath_selections:

@@ -44,7 +44,7 @@ def test_compare_finds_regression(tmp_path, capsys):
     must report the optimized build as an improvement."""
     from repro.analysis.optimize import insert_prefetches, plan_prefetches
     from repro.analysis.persistence import save_database
-    from repro.harness import run_profiled
+    from repro.engine.session import SessionSpec, run_session
     from repro.profileme.unit import ProfileMeConfig
     from repro.workloads import stall_kernel
 
@@ -53,11 +53,11 @@ def test_compare_finds_regression(tmp_path, capsys):
     # enough samples to plan from.
     config = ProfileMeConfig(mean_interval=20, register_sets=4, seed=3)
     program = stall_kernel("dcache_miss", iterations=400)
-    base_run = run_profiled(program, profile=config)
+    base_run = run_session(SessionSpec(program=program, profile=config))
     plans = plan_prefetches(program, base_run.database, lookahead=8)
     assert plans, "profile must yield a prefetch plan"
     improved = insert_prefetches(program, plans)
-    improved_run = run_profiled(improved, profile=config)
+    improved_run = run_session(SessionSpec(program=improved, profile=config))
     before_path = str(tmp_path / "before.json")
     after_path = str(tmp_path / "after.json")
     # Treat the OPTIMIZED profile as "before" so the diff reports the
@@ -273,12 +273,13 @@ def test_push_and_query_roundtrip(service, capsys):
 
 def test_push_saved_database(service, tmp_path, capsys):
     from repro.analysis.persistence import save_database
-    from repro.harness import run_profiled
+    from repro.engine.session import SessionSpec, run_session
     from repro.profileme.unit import ProfileMeConfig
     from repro.workloads import stall_kernel
 
-    run = run_profiled(stall_kernel("dep_chain", iterations=200),
-                       profile=ProfileMeConfig(mean_interval=30, seed=1))
+    run = run_session(SessionSpec(
+        program=stall_kernel("dep_chain", iterations=200),
+        profile=ProfileMeConfig(mean_interval=30, seed=1)))
     path = str(tmp_path / "prof.json")
     save_database(run.database, path)
     capsys.readouterr()

@@ -134,12 +134,12 @@ class TestKernelValidation:
 def test_profileme_diagnoses_pointer_chase():
     """End to end: the profiler must finger the chase load."""
     from repro.analysis.bottlenecks import diagnose
-    from repro.harness import run_profiled
+    from repro.engine.session import SessionSpec, run_session
     from repro.profileme.unit import ProfileMeConfig
 
     program, _ = classic_kernel("pointer_chase", nodes=2048, hops=3000)
-    run = run_profiled(program,
-                       profile=ProfileMeConfig(mean_interval=10, seed=1))
+    run = run_session(SessionSpec(
+        program=program, profile=ProfileMeConfig(mean_interval=10, seed=1)))
     load_pc = next(pc for pc, _ in program.listing()
                    if program.fetch(pc).is_load)
     profile = run.database.profile(load_pc)

@@ -6,7 +6,6 @@ from repro.cpu.ooo.core import OutOfOrderCore
 from repro.errors import ProgramError
 from repro.events import Event
 from repro.isa.interpreter import Interpreter, functional_trace
-from repro.isa.opcodes import Opcode
 from repro.workloads.microbench import (fig2_loop, fig7_three_loops,
                                         kernel_names, stall_kernel)
 
@@ -85,12 +84,13 @@ class TestStallKernels:
     ])
     def test_kernel_provokes_its_latency(self, name, latency_field):
         """Each Table 1 kernel inflates its targeted latency register."""
-        from repro.harness import run_profiled
+        from repro.engine.session import SessionSpec, run_session
         from repro.profileme.unit import ProfileMeConfig
 
         program = stall_kernel(name, iterations=120)
-        run = run_profiled(program,
-                           profile=ProfileMeConfig(mean_interval=15, seed=6))
+        run = run_session(SessionSpec(
+            program=program,
+            profile=ProfileMeConfig(mean_interval=15, seed=6)))
         # Mean of the targeted latency across all samples, vs a quiet
         # baseline kernel: must be clearly elevated somewhere.
         values = []

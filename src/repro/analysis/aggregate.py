@@ -12,8 +12,8 @@ such as a loop."  Per-PC profiles roll up losslessly:
   loop, ranked by estimated cycles.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.analysis.reports import format_table
 from repro.events import Event

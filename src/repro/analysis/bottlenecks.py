@@ -13,7 +13,7 @@ style stall diagnoses from the latency registers.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.events import Event
 from repro.utils.statistics import pearson, spearman

@@ -21,8 +21,7 @@ from typing import Optional
 
 from repro.errors import AnalysisError
 from repro.isa.opcodes import OpClass, op_class
-from repro.profileme.registers import (GroupRecord, PairedRecord,
-                                       ProfileRecord)
+from repro.profileme.registers import GroupRecord, PairedRecord
 
 
 @dataclass(frozen=True)

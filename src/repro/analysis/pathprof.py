@@ -32,7 +32,7 @@ comparison is exact):
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import AnalysisError
 from repro.isa.cfg import (CALL, RETURN, ControlFlowGraph, edge_counts,

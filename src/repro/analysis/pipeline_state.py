@@ -20,11 +20,10 @@ All inputs are architecturally observable: latency registers plus the
 intra-pair fetch latency.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.concurrency import (PairTimeline, stage_times,
-                                        useful_overlap)
+from repro.analysis.concurrency import PairTimeline, useful_overlap
 from repro.errors import AnalysisError
 from repro.events import Event
 from repro.profileme.registers import GroupRecord, PairedRecord

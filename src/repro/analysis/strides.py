@@ -16,7 +16,6 @@ way DCPI-era tools really worked on binaries.
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import AnalysisError
 from repro.events import Event
 from repro.isa.loops import find_loops, loop_of_pc
 

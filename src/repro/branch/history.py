@@ -23,7 +23,11 @@ class GlobalHistoryRegister:
         self.shifted = 0  # total directions ever shifted in
 
     def push(self, taken):
-        """Record one conditional-branch direction."""
+        """Record one conditional-branch direction.
+
+        The trace cache's fused blocks (repro.cpu.tracecache) make this
+        same update inline on ``value``, ``_mask`` and ``shifted``.
+        """
         self.value = ((self.value << 1) | (1 if taken else 0)) & self._mask
         self.shifted += 1
 

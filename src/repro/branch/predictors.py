@@ -79,6 +79,27 @@ class GshareDirectionPredictor:
         if was_correct:
             self.correct += 1
 
+    def observe(self, pc, history, taken):
+        """Predict, train and record one retired branch -> predicted.
+
+        The same updates as ``predict`` then ``train`` then
+        ``record_outcome`` in one call: the warm paths, which resolve a
+        branch the moment they see it, call this once per conditional.
+        """
+        index = ((pc >> 2) ^ history) & self._mask
+        counters = self._counters
+        counter = counters[index]
+        predicted = counter >= 2
+        if taken:
+            if counter < 3:
+                counters[index] = counter + 1
+        elif counter > 0:
+            counters[index] = counter - 1
+        self.lookups += 1
+        if predicted == taken:
+            self.correct += 1
+        return predicted
+
     @property
     def accuracy(self):
         return ratio(self.correct, self.lookups)
@@ -171,6 +192,14 @@ class StaticDirectionPredictor:
         if was_correct:
             self.correct += 1
 
+    def observe(self, pc, history, taken):
+        """Predict and record one retired branch -> predicted."""
+        predicted = self._table.get(pc, False)
+        self.lookups += 1
+        if predicted == taken:
+            self.correct += 1
+        return predicted
+
     @property
     def accuracy(self):
         return ratio(self.correct, self.lookups)
@@ -180,7 +209,7 @@ class BranchPredictor:
     """Facade bundling direction predictor, BTB and RAS.
 
     *direction* overrides the default gshare direction predictor (any
-    object with predict/train/record_outcome), e.g. a
+    object with predict/train/record_outcome/observe), e.g. a
     :class:`StaticDirectionPredictor` built from profile hints.
     """
 

@@ -18,7 +18,6 @@ so the attribution error is directly measurable.
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cpu.probes import Probe, SLOT_INST
 from repro.errors import ConfigError

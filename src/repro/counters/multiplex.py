@@ -16,10 +16,8 @@ estimates every event at once with correlations intact.
 """
 
 from dataclasses import dataclass
-from typing import List
-
 from repro.counters.counter import (_FETCH_EVENTS, _ISSUE_EVENTS,
-                                    _RETIRE_EVENTS, CounterEvent)
+                                    _RETIRE_EVENTS)
 from repro.cpu.probes import Probe, SLOT_INST
 from repro.errors import ConfigError
 

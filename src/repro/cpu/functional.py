@@ -201,8 +201,10 @@ class FunctionalProfiler:
         ctr = [0]  # mispredicts observed inside fused blocks
         limit = max_instructions
 
+        get = cache.blocks().get  # the program cannot change mid-run
+        fill = cache.fill
         while not state.halted and (limit is None or retired < limit):
-            block = cache.lookup(state.pc)
+            block = get(state.pc) or fill(state.pc)
             # A fused block must not contain the sampling point: leave
             # at least one instruction of countdown for the spill path.
             budget = countdown - 1

@@ -8,7 +8,7 @@ instruction bytes — only the register values change between visits to
 the same PC.  This module exploits that: straight-line runs of
 instructions are decoded **once** into a block, compiled to one fused
 Python function, and re-dispatched on every revisit with a single dict
-lookup plus one version compare.
+lookup (``fast_forward`` compares ``program.version`` once per call).
 
 A fused block function:
 
@@ -20,6 +20,17 @@ A fused block function:
   crossing (crossings inside a block are compile-time constants; only
   the entry fetch needs a runtime check), D-side accesses in program
   order, and predictor/GHR updates at the terminator;
+* does the common case of that warming without a Python call.  An
+  access whose page is already MRU in its TLB and whose line is already
+  MRU in its L1 set changes nothing but the two ``hits`` counters, so
+  the block checks for exactly that case inline (reading the MRU-first
+  lists, shifts and masks of the hierarchy in its prologue) and calls
+  ``hier.ifetch``/``dread``/``dwrite`` only otherwise.  A conditional
+  makes one ``direction.observe`` call (predict, train and outcome
+  count together) and shifts ``ghr.value``/``ghr.shifted`` in place;
+* computes signed compares as unsigned compares of the operands XOR
+  ``1 << 63`` and ``MUL`` as the unsigned product mod 2**64 (congruent
+  to the signed one), so only ``FDIV`` calls ``to_signed``;
 * counts conditional/indirect mispredicts into ``ctr[0]`` so the
   functional profiler's ``mispredicts`` total is unchanged;
 * raises the same :class:`SimulationError` (same message, same
@@ -31,7 +42,8 @@ its whole length fits under the sampling countdown, and spill to the
 per-instruction path otherwise (see ``FunctionalProfiler``).
 
 Invalidation contract: the cache revalidates ``program.version`` on
-every lookup and drops every block when it changed.  All in-place
+every :meth:`BlockCache.lookup` (and every :meth:`BlockCache.blocks`)
+and drops every block when it changed.  All in-place
 ``Program`` mutators bump ``version`` (see ``repro.isa.program``), so a
 live-patched program can never execute a stale decoded block.
 
@@ -56,6 +68,8 @@ _LINE_SHIFT = 6  # 64-byte I-fetch lines (matches WarmState.observe)
 _M = "0xFFFFFFFFFFFFFFFF"  # 64-bit word mask, as a source literal
 _EA = "0xFFFFFFFFFFFFFFF8"  # to_unsigned(x) & ~7: effective addresses
 _PCMASK = "0xFFFFFFFFFFFFFFFC"  # to_unsigned(x) & ~3: indirect targets
+# x ^ _SIGN maps the signed order of 64-bit words onto the unsigned one.
+_SIGN = "0x8000000000000000"
 
 
 class DecodedBlock:
@@ -83,10 +97,11 @@ class DecodedBlock:
 class BlockCache:
     """Per-program decoded-block cache keyed by entry PC.
 
-    Lookup cost on the hot path is one attribute compare (the version
-    revalidation) plus one dict get.  The cache holds no reference to
-    architectural state, so one cache serves any number of interpreter
-    instances running the same Program object.
+    Lookup cost on the hot path is one dict get: callers revalidate the
+    program version once through :meth:`blocks` and then index the dict.
+    The cache holds no reference to architectural state, so one cache
+    serves any number of interpreter instances running the same Program
+    object.
     """
 
     __slots__ = ("program", "_version", "_blocks")
@@ -99,19 +114,32 @@ class BlockCache:
     def __len__(self):
         return len(self._blocks)
 
-    def lookup(self, pc):
-        """Return the :class:`DecodedBlock` starting at *pc*."""
+    def blocks(self):
+        """The ``{entry_pc: DecodedBlock}`` dict, revalidated.
+
+        Drops every block if ``program.version`` changed since the last
+        call.  A caller that cannot mutate the program while it runs
+        (one :func:`repro.cpu.warm.fast_forward` call) revalidates once
+        and then reads the dict directly, calling :meth:`fill` for a
+        missing entry.
+        """
         program = self.program
         if program.version != self._version:
             # The program was mutated through a registered mutator:
             # every decoded block may now be stale.  Drop them all.
             self._blocks.clear()
             self._version = program.version
-        block = self._blocks.get(pc)
-        if block is None:
-            block = compile_block(program, pc)
-            self._blocks[pc] = block
+        return self._blocks
+
+    def fill(self, pc):
+        """Decode, store and return the block at *pc* (a dict miss)."""
+        block = compile_block(self.program, pc)
+        self._blocks[pc] = block
         return block
+
+    def lookup(self, pc):
+        """Return the :class:`DecodedBlock` starting at *pc*."""
+        return self.blocks().get(pc) or self.fill(pc)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +151,7 @@ _ALU_OPS = frozenset({
     Opcode.LDA, Opcode.LDI, Opcode.MUL,
     Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
 })
+_MEMORY_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.PREFETCH})
 
 
 def _classify(program, pc, inst):
@@ -203,17 +232,20 @@ def _alu_lines(inst):
     if op is Opcode.SRL:
         return ["%s = %s >> %d" % (d, a, inst.imm & 63)]
     if op is Opcode.CMPLT:
-        return ["%s = 1 if S(%s) < S(%s) else 0" % (d, a, b)]
+        return ["%s = 1 if (%s ^ %s) < (%s ^ %s) else 0"
+                % (d, a, _SIGN, b, _SIGN)]
     if op is Opcode.CMPEQ:
         return ["%s = 1 if %s == %s else 0" % (d, a, b)]
     if op is Opcode.CMPLE:
-        return ["%s = 1 if S(%s) <= S(%s) else 0" % (d, a, b)]
+        return ["%s = 1 if (%s ^ %s) <= (%s ^ %s) else 0"
+                % (d, a, _SIGN, b, _SIGN)]
     if op is Opcode.LDA:
         return ["%s = (%s + (%d)) & %s" % (d, a, inst.imm, _M)]
     if op is Opcode.LDI:
         return ["%s = %d" % (d, to_unsigned(inst.imm))]
     if op is Opcode.MUL or op is Opcode.FMUL:
-        return ["%s = (S(%s) * S(%s)) & %s" % (d, a, b, _M)]
+        # The unsigned product is congruent to the signed one mod 2**64.
+        return ["%s = (%s * %s) & %s" % (d, a, b, _M)]
     if op is Opcode.FDIV:
         return [
             "b = S(%s)" % b,
@@ -262,6 +294,58 @@ def compile_block(program, entry):
     return DecodedBlock(entry, len(insts), namespace["run"], source)
 
 
+def _ifetch_lines(pcs, index):
+    """I-fetch for instruction *index*, per the line-cursor rules."""
+    pc = pcs[index]
+    line = pc >> _LINE_SHIFT
+    fetch = _hit_or("i", str(pc), "hier.ifetch(%d)" % pc)
+    if index == 0:
+        # Only the entry crossing depends on caller state.
+        return (["if warm.last_fetch_line != %d:" % line]
+                + ["    " + text for text in fetch])
+    if line != (pcs[index - 1] >> _LINE_SHIFT):
+        return fetch
+    return []
+
+
+def _side_prologue(side):
+    """Bind one side's TLB and L1 (``side`` "i" or "d") to locals.
+
+    Read per call, not baked in: one BlockCache may serve warm states
+    built from different ``HierarchyConfig`` geometries.
+    """
+    return [
+        "{s}tlb = hier.{s}tlb".format(s=side),
+        "{s}tp = {s}tlb._pages".format(s=side),
+        "{s}tsh = {s}tlb._page_shift".format(s=side),
+        "{s}l1 = hier.l1{s}".format(s=side),
+        "{s}sets = {s}l1._sets".format(s=side),
+        "{s}lsh = {s}l1._line_shift".format(s=side),
+        "{s}msk = {s}l1._set_mask".format(s=side),
+    ]
+
+
+def _hit_or(side, addr, fallback):
+    """One cache access: the inline MRU hit, else the *fallback* call.
+
+    A page already MRU in the TLB and a line already MRU in its L1 set
+    is a hit that changes nothing but the two ``hits`` counters, so the
+    block bumps them itself.  Every other case (a TLB or L1 miss, or a
+    hit that reorders an LRU list) goes through the hierarchy call,
+    which repeats the whole lookup from scratch.
+    """
+    return [
+        "ln = {a} >> {s}lsh".format(a=addr, s=side),
+        "ws = {s}sets[ln & {s}msk]".format(s=side),
+        "if {s}tp and {s}tp[0] == {a} >> {s}tsh and ws and ws[0] == ln:"
+        .format(a=addr, s=side),
+        "    {s}tlb.hits += 1".format(s=side),
+        "    {s}l1.hits += 1".format(s=side),
+        "else:",
+        "    " + fallback,
+    ]
+
+
 def _generate(program, entry, insts, pcs, terminator):
     """Emit the fused function source for one decoded block."""
     last = insts[-1]
@@ -271,20 +355,9 @@ def _generate(program, entry, insts, pcs, terminator):
     looping = terminator == "cond" and last.target == entry
     body = []  # lines inside the (possibly looping) block body
 
-    def ifetch_lines(index):
-        """I-fetch for instruction *index*, per the line-cursor rules."""
-        line = pcs[index] >> _LINE_SHIFT
-        if index == 0:
-            # Only the entry crossing depends on caller state.
-            return ["if warm.last_fetch_line != %d:" % line,
-                    "    hier.ifetch(%d)" % pcs[index]]
-        if line != (pcs[index - 1] >> _LINE_SHIFT):
-            return ["hier.ifetch(%d)" % pcs[index]]
-        return []
-
     for index, inst in enumerate(insts[:-1] if terminator else insts):
-        body.extend(ifetch_lines(index))
-        body.extend(_straight_line(inst, pcs[index]))
+        body.extend(_ifetch_lines(pcs, index))
+        body.extend(_straight_line(inst))
 
     if terminator is None:
         # Truncated block (MAX_BLOCK or end of image): plain fall-off.
@@ -294,17 +367,24 @@ def _generate(program, entry, insts, pcs, terminator):
                     % (pcs[-1] >> _LINE_SHIFT))
         body.append("return %d" % len(insts))
     else:
-        body.extend(_terminator(program, entry, insts, pcs, terminator,
-                                looping))
+        body.extend(_terminator(program, insts, pcs, terminator, looping))
 
     lines = [
         "def run(state, warm, budget, ctr):",
         "    vals = state.regs._values",
-        "    words = state.memory._words",
         "    hier = warm.hierarchy",
-        "    pred = warm.predictor",
-        "    ghr = warm.ghr",
     ]
+    prologue = _side_prologue("i")
+    if any(inst.op in _MEMORY_OPS for inst in insts):
+        prologue.append("words = state.memory._words")
+        prologue.extend(_side_prologue("d"))
+    if terminator in ("jsr", "jmp", "ret"):
+        prologue.append("pred = warm.predictor")
+    elif terminator == "cond":
+        prologue.append("dobs = warm.predictor.direction.observe")
+        prologue.append("ghr = warm.ghr")
+        prologue.append("gmsk = ghr._mask")
+    lines.extend("    " + line for line in prologue)
     if looping:
         lines.append("    done = 0")
         lines.append("    while True:")
@@ -314,32 +394,23 @@ def _generate(program, entry, insts, pcs, terminator):
     return "\n".join(lines) + "\n"
 
 
-def _straight_line(inst, pc):
+def _straight_line(inst):
     """Source lines for one non-terminator instruction."""
     op = inst.op
     if op is Opcode.NOP:
         return []
-    if op is Opcode.LD:
-        lines = ["ea = (%s + (%d)) & %s" % (_reg(inst.src1), inst.imm, _EA)]
-        if inst.dest_reg is not None:
-            lines.append("vals[%d] = words.get(ea, 0)" % inst.dest_reg)
-        lines.append("hier.dread(ea)")
-        return lines
+    if op not in _MEMORY_OPS:
+        return _alu_lines(inst)
+    lines = ["ea = (%s + (%d)) & %s" % (_reg(inst.src1), inst.imm, _EA)]
     if op is Opcode.ST:
-        return [
-            "ea = (%s + (%d)) & %s" % (_reg(inst.src1), inst.imm, _EA),
-            "words[ea] = %s" % _reg(inst.src2),
-            "hier.dwrite(ea)",
-        ]
-    if op is Opcode.PREFETCH:
-        return [
-            "ea = (%s + (%d)) & %s" % (_reg(inst.src1), inst.imm, _EA),
-            "hier.dread(ea)",
-        ]
-    return _alu_lines(inst)
+        lines.append("words[ea] = %s" % _reg(inst.src2))
+        return lines + _hit_or("d", "ea", "hier.dwrite(ea)")
+    if op is Opcode.LD and inst.dest_reg is not None:
+        lines.append("vals[%d] = words.get(ea, 0)" % inst.dest_reg)
+    return lines + _hit_or("d", "ea", "hier.dread(ea)")
 
 
-def _terminator(program, entry, insts, pcs, kind, looping):
+def _terminator(program, insts, pcs, kind, looping):
     """Source lines for the block's terminating instruction."""
     inst = insts[-1]
     pc = pcs[-1]
@@ -347,17 +418,9 @@ def _terminator(program, entry, insts, pcs, kind, looping):
     count = len(insts)
     line = pc >> _LINE_SHIFT
 
-    def ifetch():
-        if index == 0:
-            return ["if warm.last_fetch_line != %d:" % line,
-                    "    hier.ifetch(%d)" % pc]
-        if line != (pcs[index - 1] >> _LINE_SHIFT):
-            return ["hier.ifetch(%d)" % pc]
-        return []
-
     out = []
     if kind == "halt":
-        out.extend(ifetch())
+        out.extend(_ifetch_lines(pcs, index))
         out.append("state.halted = True")
         out.append("state.pc = %d" % (pc + INSTRUCTION_BYTES))
         out.append("warm.last_fetch_line = %d" % line)
@@ -365,14 +428,14 @@ def _terminator(program, entry, insts, pcs, kind, looping):
         return out
 
     if kind == "br":
-        out.extend(ifetch())
+        out.extend(_ifetch_lines(pcs, index))
         out.append("state.pc = %d" % inst.target)
         out.append("warm.last_fetch_line = None")
         out.append("return %d" % count)
         return out
 
     if kind == "jsr":
-        out.extend(ifetch())
+        out.extend(_ifetch_lines(pcs, index))
         ret_addr = pc + INSTRUCTION_BYTES
         if inst.dest_reg is not None:
             out.append("vals[%d] = %d" % (inst.dest_reg, ret_addr))
@@ -392,7 +455,7 @@ def _terminator(program, entry, insts, pcs, kind, looping):
         out.append('    raise SimulationError('
                    '"control transfer from %s to invalid PC %%#x" %% t)'
                    % ("%#x" % pc))
-        out.extend(ifetch())
+        out.extend(_ifetch_lines(pcs, index))
         if kind == "jmp":
             out.append("p = pred.predict_indirect(%d)" % pc)
         else:
@@ -407,13 +470,14 @@ def _terminator(program, entry, insts, pcs, kind, looping):
         return out
 
     assert kind == "cond"
-    out.extend(ifetch())
-    out.append("a = %s" % _reg(inst.src1))
-    out.append("taken = %s" % (_COND_EXPR[inst.op] % "a"))
+    out.extend(_ifetch_lines(pcs, index))
+    # One direction-predictor call (predict + train + record_outcome),
+    # then GlobalHistoryRegister.push spelled out on its two fields.
+    out.append("taken = %s" % (_COND_EXPR[inst.op] % _reg(inst.src1)))
     out.append("h = ghr.value")
-    out.append("p = pred.predict_conditional(%d, h)" % pc)
-    out.append("pred.train_conditional(%d, h, taken, p == taken)" % pc)
-    out.append("ghr.push(taken)")
+    out.append("p = dobs(%d, h, taken)" % pc)
+    out.append("ghr.value = ((h << 1) | taken) & gmsk")
+    out.append("ghr.shifted += 1")
     out.append("if p != taken:")
     out.append("    ctr[0] += 1")
     out.append("warm.last_fetch_line = None")

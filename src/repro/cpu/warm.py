@@ -92,14 +92,11 @@ class WarmState:
             _, mem_events = hierarchy.dwrite(eff_addr)
             events |= mem_events
         elif inst.is_conditional:
-            predictor = self.predictor
-            predicted = predictor.predict_conditional(pc, history)
-            correct = predicted == taken
-            predictor.train_conditional(pc, history, taken, correct)
+            predicted = self.predictor.direction.observe(pc, history, taken)
             self.ghr.push(taken)
             if taken:
                 events |= _BRANCH_TAKEN
-            if not correct:
+            if predicted != taken:
                 events |= _MISPREDICT
             self.last_fetch_line = None
         elif inst.is_control_flow:
@@ -128,11 +125,13 @@ class WarmState:
         retired stream.
         """
         predictor = self.predictor
-        direction = getattr(predictor.direction, "_counters", None)
+        direction = predictor.direction
+        counters = getattr(direction, "_counters", None)
         return {
             "mem": self.hierarchy.stats(),
-            "ghr": self.ghr.value,
-            "direction": tuple(direction) if direction is not None else None,
+            "ghr": (self.ghr.value, self.ghr.shifted),
+            "direction": tuple(counters) if counters is not None else None,
+            "direction_outcomes": (direction.lookups, direction.correct),
             "btb": (tuple(predictor.btb._tags),
                     tuple(predictor.btb._targets)),
             "ras": tuple(predictor.ras._stack),
@@ -162,10 +161,13 @@ def fast_forward(interp, warm, count, cache=None):
     observe = warm.observe
     done = 0
     if cache is not None:
-        lookup = cache.lookup
+        # Nothing below mutates the program, so one revalidation of
+        # program.version covers every block of this call.
+        get = cache.blocks().get
+        fill = cache.fill
         ctr = [0]  # fast-forward discards event/mispredict accounting
         while done < count and not state.halted:
-            block = lookup(state.pc)
+            block = get(state.pc) or fill(state.pc)
             if block.fused is not None and block.length <= count - done:
                 done += block.fused(state, warm, count - done, ctr)
                 continue

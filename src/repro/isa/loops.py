@@ -17,7 +17,7 @@ reported by body containment.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import Opcode

@@ -46,6 +46,10 @@ class Cache:
 
     def __init__(self, config):
         self.config = config
+        # One MRU-first tag list per set.  The trace cache's fused blocks
+        # (repro.cpu.tracecache) read these lists, ``_line_shift`` and
+        # ``_set_mask`` directly: a line already at the head of its set
+        # is a hit that only bumps ``hits``, and they count it inline.
         self._sets = [[] for _ in range(config.num_sets)]
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1

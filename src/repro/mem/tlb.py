@@ -32,7 +32,11 @@ class Tlb:
 
     def __init__(self, config):
         self.config = config
-        self._pages = []  # MRU-first list of resident page numbers
+        # MRU-first list of resident page numbers.  The trace cache's
+        # fused blocks (repro.cpu.tracecache) read it and ``_page_shift``
+        # directly: an access to the head page is a hit that only bumps
+        # ``hits``, and they count it inline.
+        self._pages = []
         self._page_shift = config.page_bytes.bit_length() - 1
         self.hits = 0
         self.misses = 0

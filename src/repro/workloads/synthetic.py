@@ -25,8 +25,8 @@ Register conventions (within generated programs):
     r20-r23 loop counters, r26/r25 return addresses, r1-r15 scratch.
 """
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.isa.builder import ProgramBuilder

@@ -7,7 +7,6 @@ from repro.analysis.bottlenecks import (diagnose, instruction_metrics,
 from repro.analysis.concurrency import PairAnalyzer
 from repro.analysis.database import ProfileDatabase
 from repro.events import Event
-from repro.profileme.registers import PairedRecord
 
 from tests.analysis.test_concurrency import pair, record
 from tests.analysis.test_database import make_record

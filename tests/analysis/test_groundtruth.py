@@ -7,8 +7,6 @@ from repro.cpu.ooo.core import OutOfOrderCore
 from repro.events import Event
 from repro.isa.interpreter import Interpreter
 
-from tests.conftest import counting_loop
-
 
 def collect(program, **options):
     core = OutOfOrderCore(program)

@@ -1,11 +1,16 @@
 """Tests for branch predictors, BTB and RAS."""
 
+import random
+
 import pytest
 
 from repro.branch.predictors import (BranchPredictor, BranchTargetBuffer,
                                      GshareDirectionPredictor,
-                                     PredictorConfig, ReturnAddressStack)
+                                     PredictorConfig, ReturnAddressStack,
+                                     StaticDirectionPredictor)
 from repro.errors import ConfigError
+
+from tests.conftest import counting_loop
 
 
 class TestGshare:
@@ -53,6 +58,37 @@ class TestGshare:
         predictor.record_outcome(False)
         assert predictor.accuracy == pytest.approx(0.5)
         assert GshareDirectionPredictor(PredictorConfig()).accuracy == 0.0
+
+
+def _split_observe(direction, pc, history, taken):
+    """What ``observe`` must equal: predict, train, record_outcome."""
+    predicted = direction.predict(pc, history)
+    direction.train(pc, history, taken)
+    direction.record_outcome(predicted == taken)
+    return predicted
+
+
+def _direction_state(direction):
+    return (list(getattr(direction, "_counters", [])), direction.lookups,
+            direction.correct)
+
+
+@pytest.mark.parametrize("make", (
+    lambda: GshareDirectionPredictor(PredictorConfig(counter_index_bits=4)),
+    lambda: StaticDirectionPredictor(counting_loop(iterations=3),
+                                     hints={8: False}),
+))
+def test_observe_equals_predict_train_record(make):
+    fused, split = make(), make()
+    rng = random.Random(5)
+    for _ in range(400):
+        pc = rng.randrange(0, 64, 4)
+        history = rng.randrange(0, 1 << 12)
+        taken = rng.random() < 0.6
+        assert (fused.observe(pc, history, taken)
+                == _split_observe(split, pc, history, taken))
+        assert _direction_state(fused) == _direction_state(split)
+    assert 0 < fused.correct < fused.lookups == 400
 
 
 class TestBtb:

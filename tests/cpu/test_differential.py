@@ -8,7 +8,6 @@ the single strongest correctness check on the speculation machinery:
 any bug in squash/rollback/forwarding shows up as state divergence.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -10,8 +10,6 @@ from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
-from tests.conftest import counting_loop
-
 
 @pytest.fixture(scope="module")
 def compress_run():

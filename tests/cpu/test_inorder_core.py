@@ -1,7 +1,5 @@
 """Tests for the in-order core model."""
 
-import pytest
-
 from repro.cpu.inorder.core import InOrderCore
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.probes import Probe

@@ -1,11 +1,8 @@
 """Behavioural tests for the out-of-order core."""
 
-import pytest
-
 from repro.cpu.config import MachineConfig
 from repro.cpu.ooo.core import OutOfOrderCore
-from repro.cpu.probes import Probe, SLOT_EMPTY, SLOT_INST, SLOT_OFFPATH
-from repro.errors import SimulationError
+from repro.cpu.probes import Probe, SLOT_EMPTY, SLOT_INST
 from repro.events import AbortReason, Event
 from repro.isa.builder import ProgramBuilder
 from repro.isa.interpreter import Interpreter

@@ -12,30 +12,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.branch.predictors import BranchPredictor, StaticDirectionPredictor
 from repro.cpu.functional import FunctionalProfiler
 from repro.cpu.tracecache import MAX_BLOCK, BlockCache
 from repro.cpu.warm import WarmState, fast_forward
+from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import Interpreter
 from repro.isa.opcodes import Opcode
+from repro.mem.cache import CacheConfig
+from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.tlb import TlbConfig
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
 from tests.conftest import counting_loop
 
 
-def run_pair(program_factory, count, chunks=None, mutate=None):
+def run_pair(program_factory, count, chunks=None, mutate=None,
+             warm_factory=lambda program: WarmState()):
     """Run cached and plain fast-forwards in lockstep; return both sides.
 
     *chunks* splits the run into segments; *mutate* is an optional
     ``(program, segment_index) -> None`` callback applied between
     segments to BOTH programs, exercising cache invalidation.
+    *warm_factory* builds each side's warm state from its program.
     """
     sides = []
     for use_cache in (True, False):
         program = program_factory()
         interp = Interpreter(program)
-        warm = WarmState()
+        warm = warm_factory(program)
         cache = BlockCache(program) if use_cache else None
         done = 0
         for index, chunk in enumerate(chunks or [count]):
@@ -75,6 +82,94 @@ class TestSuiteEquivalence:
             lambda: suite_program("compress", scale=1), sum(chunks),
             chunks=chunks)
         assert_sides_equal(cached, plain)
+
+
+def small_geometry_warm(program):
+    """Warm state on 32-byte lines, 4 KiB pages and 4-way L1s."""
+    config = HierarchyConfig(
+        l1i=CacheConfig(name="l1i", size_bytes=8 * 1024, line_bytes=32,
+                        associativity=4),
+        l1d=CacheConfig(name="l1d", size_bytes=8 * 1024, line_bytes=32,
+                        associativity=4),
+        itlb=TlbConfig(name="itlb", entries=16, page_bytes=4096),
+        dtlb=TlbConfig(name="dtlb", entries=16, page_bytes=4096))
+    return WarmState(hierarchy=MemoryHierarchy(config))
+
+
+def static_predictor_warm(program):
+    """Warm state whose direction predictor is BTFN plus one flipped hint."""
+    conditional = [pc for pc, _ in program.listing()
+                   if program.fetch(pc).is_conditional]
+    hints = {conditional[0]: not program.fetch(conditional[0]).target
+             < conditional[0]}
+    return WarmState(predictor=BranchPredictor(
+        direction=StaticDirectionPredictor(program, hints=hints)))
+
+
+class TestWarmGeometries:
+    """The inline hit path reads shifts, masks and the predictor from the
+    warm state it is handed, so one block serves any configuration."""
+
+    @pytest.mark.parametrize("warm_factory",
+                             (small_geometry_warm, static_predictor_warm))
+    @pytest.mark.parametrize("name", ("compress", "gcc", "li"))
+    def test_fast_forward_matches_plain(self, name, warm_factory):
+        cached, plain = run_pair(lambda: suite_program(name, scale=1),
+                                 30_000, chunks=[5, 995, 29_000],
+                                 warm_factory=warm_factory)
+        assert_sides_equal(cached, plain)
+
+    def test_one_cache_serves_two_geometries(self):
+        # Blocks compiled while warming the default hierarchy must warm
+        # a differently shaped one exactly as the interpreter does.
+        program = suite_program("compress", scale=1)
+        cache = BlockCache(program)
+        fast_forward(Interpreter(program), WarmState(), 20_000, cache=cache)
+        sides = []
+        for side_cache in (cache, None):
+            interp = Interpreter(program)
+            warm = small_geometry_warm(program)
+            done = fast_forward(interp, warm, 20_000, cache=side_cache)
+            sides.append((interp, warm, done))
+        assert_sides_equal(*sides)
+
+
+# Operands around the signed/unsigned boundaries of a 64-bit word.
+_EDGES = (0, 1, 2, 2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1,
+          2 ** 64 - 2, 2 ** 64 - 1)
+
+
+def _signed_ops_program():
+    b = ProgramBuilder(name="signed-ops")
+    b.begin_function("main")
+    b.cmplt(3, 1, 2)
+    b.cmplt(4, 2, 1)
+    b.cmple(5, 1, 2)
+    b.cmple(6, 2, 1)
+    b.mul(7, 1, 2)
+    b.fmul(8, 1, 2)
+    b.fdiv(9, 1, 2)
+    b.fdiv(10, 2, 1)
+    b.halt()
+    b.end_function()
+    return b.build(entry="main")
+
+
+@pytest.mark.parametrize("a", _EDGES)
+def test_signed_ops_match_interpreter_at_edges(a):
+    program = _signed_ops_program()
+    cache = BlockCache(program)
+    for b in _EDGES:
+        sides = []
+        for side_cache in (cache, None):
+            interp = Interpreter(program)
+            interp.state.regs.write(1, a)
+            interp.state.regs.write(2, b)
+            warm = WarmState()
+            done = fast_forward(interp, warm, 100, cache=side_cache)
+            sides.append((interp, warm, done))
+        assert cache.lookup(program.entry).fused is not None
+        assert_sides_equal(*sides)
 
 
 class TestProfilerEquivalence:

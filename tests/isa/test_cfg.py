@@ -1,7 +1,5 @@
 """Tests for the backward control-flow graph."""
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.isa.cfg import (CALL, INDIRECT, RETURN, SEQ, TAKEN,
                            ControlFlowGraph, edge_counts,

@@ -7,8 +7,6 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.interpreter import Interpreter, functional_trace
 from repro.isa.opcodes import Opcode
 
-from tests.conftest import counting_loop
-
 
 def test_counting_loop_retires_expected_instructions(tiny_program):
     interp = Interpreter(tiny_program)

@@ -1,7 +1,5 @@
 """Tests for natural-loop detection."""
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.isa.loops import (dominators, find_loops, forward_edges,
                              loop_of_pc)

@@ -1,6 +1,5 @@
 """Tests for the pure ALU/branch/address semantics."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Unit and property tests for 64-bit two's-complement helpers."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

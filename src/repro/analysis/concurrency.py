@@ -249,13 +249,6 @@ class PairAnalyzer:
         """The paper's bottleneck metric: (L_I*C*S/2) - (U_I*W*S)."""
         return self.estimated_total_slots(pc) - self.estimated_useful_issues(pc)
 
-    def estimated_total_latency(self, pc):
-        """L_I * S / 2 — total in-progress cycles over all executions."""
-        stats = self.per_pc.get(pc)
-        if stats is None:
-            return 0.0
-        return stats.latency_sum * self.mean_interval / 2.0
-
     def ranked_by_waste(self, limit=None):
         """PCs by estimated wasted issue slots, descending."""
         ranked = sorted(self.per_pc,

@@ -53,11 +53,6 @@ def dcache_miss_property(profile, truth):
             truth.count_event(Event.DCACHE_MISS))
 
 
-def mispredict_property(profile, truth):
-    return (profile.event_count(Event.MISPREDICT),
-            truth.count_event(Event.MISPREDICT))
-
-
 def effective_interval(total_fetched, total_samples):
     """Measured average sampling interval S.
 

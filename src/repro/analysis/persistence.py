@@ -134,6 +134,14 @@ def database_to_dict(database):
     return document
 
 
+def _total_samples(value):
+    """A document's ``total_samples``, checked to be an int64 count."""
+    if type(value) is not int or not 0 <= value < 2 ** 63:
+        raise PersistenceError("total_samples must be a non-negative "
+                               "64-bit int, got %r" % (value,))
+    return value
+
+
 def _profile_from_payload(pc, payload, with_addresses=True):
     profile = PcProfile(pc=pc)
     profile.samples = payload["samples"]
@@ -185,11 +193,11 @@ def database_from_dict(data):
             addresses = database.addresses_table()
             for pc_text, entries in data.get("addresses", {}).items():
                 addresses[int(pc_text)] = [tuple(item) for item in entries]
-            database.total_samples = data["total_samples"]
+            database.total_samples = _total_samples(data["total_samples"])
         else:
             database = ProfileDatabase(
                 keep_addresses=data.get("keep_addresses", 0))
-            database.total_samples = data["total_samples"]
+            database.total_samples = _total_samples(data["total_samples"])
             for pc_text, payload in data["per_pc"].items():
                 pc = int(pc_text)
                 database.set_profile(pc, _profile_from_payload(pc, payload))
@@ -200,7 +208,9 @@ def database_from_dict(data):
                 maximum=maximum, last=last, last_tick=last_tick)
     except AnalysisError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        # OverflowError: a count past the int64 columns of the store.
         raise PersistenceError("malformed profile document: %s"
                                % (exc,)) from exc
     return database
@@ -308,7 +318,7 @@ def result_from_dict(data, spec=None):
             probes=data.get("probes"))
     except AnalysisError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PersistenceError("malformed session-result document: %s"
                                % (exc,)) from exc
 

@@ -1,4 +1,4 @@
-"""Decoded-basic-block trace cache for the functional engines.
+"""Decoded-basic-block trace cache for the functional fast-forward.
 
 The functional fast-forward (`repro.cpu.warm.fast_forward`) dominates
 two-speed wall clock: per instruction it pays a `Program.fetch`, an
@@ -8,7 +8,7 @@ instruction bytes — only the register values change between visits to
 the same PC.  This module exploits that: straight-line runs of
 instructions are decoded **once** into a block, compiled to one fused
 Python function, and re-dispatched on every revisit with a single dict
-lookup (``fast_forward`` compares ``program.version`` once per call).
+lookup (``fast_forward`` revalidates ``program.version`` once per call).
 
 A fused block function:
 
@@ -31,27 +31,32 @@ A fused block function:
 * computes signed compares as unsigned compares of the operands XOR
   ``1 << 63`` and ``MUL`` as the unsigned product mod 2**64 (congruent
   to the signed one), so only ``FDIV`` calls ``to_signed``;
-* counts conditional/indirect mispredicts into ``ctr[0]`` so the
-  functional profiler's ``mispredicts`` total is unchanged;
 * raises the same :class:`SimulationError` (same message, same
   architectural state) as the per-instruction path for a wild indirect
   jump, *before* any warm-state update for the faulting instruction.
 
-Blocks never contain a sampling point: callers only invoke a block when
-its whole length fits under the sampling countdown, and spill to the
-per-instruction path otherwise (see ``FunctionalProfiler``).
+Blocks never contain a sampling point: ``fast_forward`` only invokes a
+block when its whole length fits in the instruction budget it was
+given, and the functional profiler asks for one instruction less than
+the sampling countdown, then steps the sampled instruction itself.
 
-Invalidation contract: the cache revalidates ``program.version`` on
-every :meth:`BlockCache.lookup` (and every :meth:`BlockCache.blocks`)
-and drops every block when it changed.  All in-place
-``Program`` mutators bump ``version`` (see ``repro.isa.program``), so a
-live-patched program can never execute a stale decoded block.
+Sharing and invalidation: :func:`blocks` keeps one dict per live
+``Program`` object (keyed by ``id``, dropped by ``weakref.finalize``
+when the program dies, nothing stored on the program), so every run of
+a program reuses the blocks the first one compiled; a block reads the
+geometry of the warm state it is handed, so one dict serves every
+configuration.  :func:`blocks` drops every block when
+``program.version`` moved; all in-place ``Program`` mutators bump it
+(see ``repro.isa.program``), so a patched program never executes a
+stale block.
 
-Semantic equivalence with the interpreter is pinned by
+Semantic equivalence with the reference interpreter is pinned by
 ``tests/cpu/test_tracecache.py`` (including a hypothesis property over
 generated programs) and the invalidation contract by
 ``tests/cpu/test_tracecache_invalidation.py``.
 """
+
+import weakref
 
 from repro.errors import SimulationError
 from repro.isa.instruction import INSTRUCTION_BYTES
@@ -76,7 +81,7 @@ class DecodedBlock:
     """One decoded run of instructions starting at ``entry``.
 
     ``fused`` is the compiled block function
-    ``fused(state, warm, budget, ctr) -> retired_count`` or None when
+    ``fused(state, warm, budget) -> retired_count`` or None when
     the first instruction cannot be fused (callers fall back to the
     per-instruction path for one step).  ``length`` is the instruction
     count of one pass through the block; callers must ensure ``length <=
@@ -94,52 +99,32 @@ class DecodedBlock:
         self.source = source
 
 
-class BlockCache:
-    """Per-program decoded-block cache keyed by entry PC.
+# id(program) -> [version, {entry_pc: DecodedBlock}]; see blocks().
+_CACHES = {}
 
-    Lookup cost on the hot path is one dict get: callers revalidate the
-    program version once through :meth:`blocks` and then index the dict.
-    The cache holds no reference to architectural state, so one cache
-    serves any number of interpreter instances running the same Program
-    object.
+
+def blocks(program):
+    """The shared ``{entry_pc: DecodedBlock}`` dict of *program*.
+
+    Drops every block if ``program.version`` changed since the last
+    call.  A caller that cannot mutate the program while it runs (one
+    :func:`repro.cpu.warm.fast_forward` call) revalidates once and then
+    reads the dict directly, storing :func:`compile_block` output for a
+    missing entry.
     """
-
-    __slots__ = ("program", "_version", "_blocks")
-
-    def __init__(self, program):
-        self.program = program
-        self._version = program.version
-        self._blocks = {}
-
-    def __len__(self):
-        return len(self._blocks)
-
-    def blocks(self):
-        """The ``{entry_pc: DecodedBlock}`` dict, revalidated.
-
-        Drops every block if ``program.version`` changed since the last
-        call.  A caller that cannot mutate the program while it runs
-        (one :func:`repro.cpu.warm.fast_forward` call) revalidates once
-        and then reads the dict directly, calling :meth:`fill` for a
-        missing entry.
-        """
-        program = self.program
-        if program.version != self._version:
-            # The program was mutated through a registered mutator:
-            # every decoded block may now be stale.  Drop them all.
-            self._blocks.clear()
-            self._version = program.version
-        return self._blocks
-
-    def fill(self, pc):
-        """Decode, store and return the block at *pc* (a dict miss)."""
-        block = compile_block(self.program, pc)
-        self._blocks[pc] = block
-        return block
-
-    def lookup(self, pc):
-        """Return the :class:`DecodedBlock` starting at *pc*."""
-        return self.blocks().get(pc) or self.fill(pc)
+    key = id(program)
+    entry = _CACHES.get(key)
+    if entry is None:
+        entry = _CACHES[key] = [program.version, {}]
+        # Runs when the program is collected, before its id can be
+        # reused by another object.
+        weakref.finalize(program, _CACHES.pop, key, None)
+    elif entry[0] != program.version:
+        # Mutated through a registered mutator: every decoded block may
+        # now be stale.
+        entry[0] = program.version
+        entry[1].clear()
+    return entry[1]
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +296,7 @@ def _ifetch_lines(pcs, index):
 def _side_prologue(side):
     """Bind one side's TLB and L1 (``side`` "i" or "d") to locals.
 
-    Read per call, not baked in: one BlockCache may serve warm states
+    Read per call, not baked in: one block may serve warm states
     built from different ``HierarchyConfig`` geometries.
     """
     return [
@@ -370,7 +355,7 @@ def _generate(program, entry, insts, pcs, terminator):
         body.extend(_terminator(program, insts, pcs, terminator, looping))
 
     lines = [
-        "def run(state, warm, budget, ctr):",
+        "def run(state, warm, budget):",
         "    vals = state.regs._values",
         "    hier = warm.hierarchy",
     ]
@@ -457,13 +442,9 @@ def _terminator(program, insts, pcs, kind, looping):
                    % ("%#x" % pc))
         out.extend(_ifetch_lines(pcs, index))
         if kind == "jmp":
-            out.append("p = pred.predict_indirect(%d)" % pc)
-        else:
-            out.append("p = pred.ras.pop()")
-        out.append("if p != t:")
-        out.append("    ctr[0] += 1")
-        if kind == "jmp":
             out.append("pred.train_indirect(%d, t)" % pc)
+        else:
+            out.append("pred.ras.pop()")
         out.append("state.pc = t")
         out.append("warm.last_fetch_line = None")
         out.append("return %d" % count)
@@ -475,11 +456,9 @@ def _terminator(program, insts, pcs, kind, looping):
     # then GlobalHistoryRegister.push spelled out on its two fields.
     out.append("taken = %s" % (_COND_EXPR[inst.op] % _reg(inst.src1)))
     out.append("h = ghr.value")
-    out.append("p = dobs(%d, h, taken)" % pc)
+    out.append("dobs(%d, h, taken)" % pc)
     out.append("ghr.value = ((h << 1) | taken) & gmsk")
     out.append("ghr.shifted += 1")
-    out.append("if p != taken:")
-    out.append("    ctr[0] += 1")
     out.append("warm.last_fetch_line = None")
     if looping:
         out.append("done += %d" % count)

@@ -7,10 +7,13 @@ counters, BTB, RAS, global history — warm, or every detailed window
 would start from a cold machine and measure mostly compulsory misses.
 
 :class:`WarmState` is the explicit contract: it names exactly the state
-that crosses engine boundaries, and both the functional profiler and the
-two-speed scheduler update it through one code path
-(:meth:`WarmState.observe`), so the engines cannot drift apart in how
-they warm the models.
+that crosses engine boundaries.  :func:`fast_forward` is the one loop
+that steps a program functionally: the two-speed scheduler calls it
+between detailed windows and the functional profiler between samples.
+Its per-instruction path and the profiler's observed steps go through
+:meth:`WarmState.observe`, and its fused trace-cache blocks make the
+same updates inline, so the engines cannot drift apart in how they warm
+the models.
 
 What the contract covers (carried across hand-offs):
 
@@ -28,6 +31,7 @@ warm-up prefix; see docs/architecture.md "Two-speed simulation".
 
 from repro.branch.history import GlobalHistoryRegister
 from repro.branch.predictors import BranchPredictor
+from repro.cpu import tracecache
 from repro.events import Event
 from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import Opcode
@@ -69,9 +73,10 @@ class WarmState:
         Returns ``(events, history)``: the event flags (an int bit mask
         of :class:`Event` values) a retired-instruction sampler would
         record and the global history *before* this instruction updated
-        it.  This is the single source of truth for functional-mode
-        warming — the profiler and the two-speed fast-forward both go
-        through here.
+        it.  This is the reference for functional-mode warming: the
+        profiler's observed steps and :func:`fast_forward`'s
+        per-instruction path call it, and fused trace-cache blocks must
+        match it update for update.
         """
         hierarchy = self.hierarchy
         events = _RETIRED
@@ -139,49 +144,39 @@ class WarmState:
         }
 
 
-def fast_forward(interp, warm, count, cache=None):
+def fast_forward(interp, warm, count):
     """Architecturally execute up to *count* instructions, warming *warm*.
 
-    The two-speed hot loop: no TraceEntry allocation, no sampling, no
-    truth accounting — just architectural stepping plus the warm-state
-    contract.  Returns the number of instructions retired, which is less
-    than *count* only if the program halted.
+    The one functional stepping loop: no TraceEntry allocation, no
+    sampling, no truth accounting — just architectural stepping plus the
+    warm-state contract.  Returns the number of instructions retired,
+    which is less than *count* only if the program halted.
 
-    With a *cache* (a :class:`repro.cpu.tracecache.BlockCache` for the
-    same program), whole decoded blocks execute as one fused call
+    Whole decoded blocks from the program's shared trace cache
+    (:func:`repro.cpu.tracecache.blocks`) execute as one fused call
     whenever a block fits in the remaining budget; the per-instruction
     path below covers the remainder (unfusable instructions, or a block
-    longer than what is left of *count*).  Both paths make identical
-    architectural and warm-state updates — ``tests/cpu/test_tracecache``
-    pins the equivalence.
+    longer than what is left of *count*).  Both paths make the updates
+    the reference interpreter plus :meth:`WarmState.observe` would —
+    ``tests/cpu/test_tracecache`` pins the equivalence.
     """
     state = interp.state
     program = interp.program
     fetch = program.fetch
     observe = warm.observe
+    # Nothing below mutates the program, so one revalidation of
+    # program.version covers every block of this call.
+    cache = tracecache.blocks(program)
+    get = cache.get
     done = 0
-    if cache is not None:
-        # Nothing below mutates the program, so one revalidation of
-        # program.version covers every block of this call.
-        get = cache.blocks().get
-        fill = cache.fill
-        ctr = [0]  # fast-forward discards event/mispredict accounting
-        while done < count and not state.halted:
-            block = get(state.pc) or fill(state.pc)
-            if block.fused is not None and block.length <= count - done:
-                done += block.fused(state, warm, count - done, ctr)
-                continue
-            pc = state.pc
-            inst = fetch(pc)
-            taken, next_pc, eff_addr = inst.exec_fn(state, inst, pc,
-                                                    program)
-            observe(pc, inst, taken, next_pc, eff_addr)
-            state.pc = next_pc
-            done += 1
-        interp.retired += done
-        return done
     while done < count and not state.halted:
         pc = state.pc
+        block = get(pc)
+        if block is None:
+            block = cache[pc] = tracecache.compile_block(program, pc)
+        if block.fused is not None and block.length <= count - done:
+            done += block.fused(state, warm, count - done)
+            continue
         inst = fetch(pc)
         taken, next_pc, eff_addr = inst.exec_fn(state, inst, pc, program)
         observe(pc, inst, taken, next_pc, eff_addr)

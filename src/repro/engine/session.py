@@ -91,24 +91,31 @@ def profile_config_for_context(profile, context):
 
 @dataclass
 class ProfileStack:
-    """The standard software stack over one ProfileMe unit."""
+    """The standard software stack over ProfileMe samples.
 
-    unit: ProfileMeUnit
+    ``unit`` is None for a stack built by :func:`profile_sinks` alone
+    (two-speed sessions arm one unit per detailed window).
+    """
+
+    unit: Optional[ProfileMeUnit]
     driver: ProfileMeDriver
     database: ProfileDatabase
     pair_analyzer: Optional[PairAnalyzer]
+    push_sink: Any = None  # ServiceSink when samples stream to a service
 
 
-def attach_profileme(core, profile, keep_records=True, keep_addresses=0,
-                     with_pairs=True, rollup_interval=0, retain_buckets=0):
-    """Attach a ProfileMe unit plus driver/database/pair-analyzer stack.
+def profile_sinks(profile, issue_width, keep_records=True, keep_addresses=0,
+                  with_pairs=True, rollup_interval=0, retain_buckets=0,
+                  push_to=None):
+    """Build the driver plus database/pair-analyzer/push sinks.
 
     *with_pairs* controls whether a :class:`PairAnalyzer` sink is wired
     when the configuration samples groups (the multiprogrammed session
     keeps per-context databases only).  *rollup_interval* /
     *retain_buckets* configure the database's time-bucketed rollup
     plane: samples fold into per-interval buckets that age into coarser
-    epochs, with the oldest evicted past the retention cap.
+    epochs, with the oldest evicted past the retention cap.  *push_to*
+    ("host:port") also streams every sample to a profiling service.
     """
     driver = ProfileMeDriver(keep_records=keep_records)
     database = driver.add_sink(ProfileDatabase(
@@ -119,11 +126,24 @@ def attach_profileme(core, profile, keep_records=True, keep_addresses=0,
         pair_analyzer = driver.add_sink(PairAnalyzer(
             mean_interval=profile.mean_interval,
             pair_window=profile.pair_window,
-            issue_width=core.config.issue_width))
-    unit = ProfileMeUnit(profile, handler=driver.handle_interrupt)
-    core.add_probe(unit)
-    return ProfileStack(unit=unit, driver=driver, database=database,
-                        pair_analyzer=pair_analyzer)
+            issue_width=issue_width))
+    push_sink = None
+    if push_to:
+        # Imported lazily: most sessions never touch the service.
+        from repro.service.client import ProfileClient, ServiceSink
+
+        push_sink = driver.add_sink(ServiceSink(ProfileClient(push_to)))
+    return ProfileStack(unit=None, driver=driver, database=database,
+                        pair_analyzer=pair_analyzer, push_sink=push_sink)
+
+
+def attach_profileme(core, profile, **options):
+    """Attach a ProfileMe unit to *core* over a :func:`profile_sinks`
+    stack built with *options*."""
+    stack = profile_sinks(profile, core.config.issue_width, **options)
+    stack.unit = core.add_probe(
+        ProfileMeUnit(profile, handler=stack.driver.handle_interrupt))
+    return stack
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +280,10 @@ class SessionSpec:
             if self.max_cycles is not None:
                 raise ConfigError("two-speed mode has no global cycle axis; "
                                   "use max_retired")
+            if self.probe_stream:
+                raise ConfigError("two-speed mode cannot stream probes: "
+                                  "there is no core between windows to "
+                                  "read them from")
         if self.rollup_interval < 0:
             raise ConfigError("rollup_interval must be >= 0, got %r"
                               % (self.rollup_interval,))
@@ -268,6 +292,14 @@ class SessionSpec:
                               % (self.retain_buckets,))
         if self.retain_buckets and not self.rollup_interval:
             raise ConfigError("retain_buckets requires rollup_interval")
+
+    def sink_options(self):
+        """The :func:`profile_sinks` options this spec selects."""
+        return dict(keep_records=self.keep_records,
+                    keep_addresses=self.keep_addresses,
+                    rollup_interval=self.rollup_interval,
+                    retain_buckets=self.retain_buckets,
+                    push_to=self.push_to)
 
     def resolved_programs(self):
         return tuple(self.programs) if self.programs else (self.program,)
@@ -412,20 +444,8 @@ def run_session(spec):
                           static_hints=spec.static_branch_hints)
 
     stack = None
-    push_sink = None
     if spec.profile is not None:
-        stack = attach_profileme(core, spec.profile,
-                                 keep_records=spec.keep_records,
-                                 keep_addresses=spec.keep_addresses,
-                                 rollup_interval=spec.rollup_interval,
-                                 retain_buckets=spec.retain_buckets)
-        if spec.push_to:
-            # Stream live samples to a continuous-profiling service.
-            # Imported lazily: most sessions never touch the service.
-            from repro.service.client import ProfileClient, ServiceSink
-
-            push_sink = stack.driver.add_sink(
-                ServiceSink(ProfileClient(spec.push_to)))
+        stack = attach_profileme(core, spec.profile, **spec.sink_options())
     counter = None
     if spec.counter is not None:
         counter = EventCounter(spec.counter,
@@ -468,8 +488,8 @@ def run_session(spec):
                           max_retired=spec.max_retired)
     if stack is not None:
         stack.unit.finalize()
-    if push_sink is not None:
-        push_sink.close()
+        if stack.push_sink is not None:
+            stack.push_sink.close()
     if streamer is not None:
         streamer.sample(core.cycle)  # final flush at the end cycle
     if probe_client is not None:

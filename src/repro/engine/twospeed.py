@@ -36,16 +36,12 @@ register sets.
 
 import dataclasses
 
-from repro.analysis.concurrency import PairAnalyzer
-from repro.analysis.database import ProfileDatabase
 from repro.branch.predictors import BranchPredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.ooo.core import OutOfOrderCore
-from repro.cpu.tracecache import BlockCache
 from repro.cpu.warm import WarmState, fast_forward
 from repro.isa.interpreter import Interpreter
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.profileme.driver import ProfileMeDriver
 from repro.profileme.registers import GroupRecord, PairedRecord
 from repro.profileme.unit import ProfileMeStats, ProfileMeUnit
 from repro.utils.rng import SamplingRng
@@ -121,7 +117,7 @@ def run_two_speed(spec):
     """
     # Imported here, not at module level: session.py imports this module
     # inside run_session, and the result types live there.
-    from repro.engine.session import CoreStats, SessionResult
+    from repro.engine.session import CoreStats, SessionResult, profile_sinks
 
     profile = spec.profile
     program = spec.program
@@ -133,24 +129,9 @@ def run_two_speed(spec):
         hierarchy=MemoryHierarchy(machine_config.memory),
         predictor=BranchPredictor(machine_config.predictor))
     interp = Interpreter(program)
-    # Decoded-block trace cache: the fast-forward between windows is the
-    # wall-clock bulk of a two-speed run; fused blocks cut it ~5-10x.
-    cache = BlockCache(program)
-
-    driver = ProfileMeDriver(keep_records=spec.keep_records)
-    database = driver.add_sink(
-        ProfileDatabase(keep_addresses=spec.keep_addresses))
-    pair_analyzer = None
-    if profile.effective_group_size >= 2:
-        pair_analyzer = driver.add_sink(PairAnalyzer(
-            mean_interval=profile.mean_interval,
-            pair_window=profile.pair_window,
-            issue_width=machine_config.issue_width))
-    push_sink = None
-    if spec.push_to:
-        from repro.service.client import ProfileClient, ServiceSink
-
-        push_sink = driver.add_sink(ServiceSink(ProfileClient(spec.push_to)))
+    stack = profile_sinks(profile, machine_config.issue_width,
+                          **spec.sink_options())
+    driver = stack.driver
 
     cycle_base = [0]  # mutable: the per-window handler closes over it
 
@@ -181,7 +162,7 @@ def run_two_speed(spec):
         if max_retired is not None:
             skip = min(skip, max_retired - total_retired)
         if skip:
-            done = fast_forward(interp, warm, skip, cache=cache)
+            done = fast_forward(interp, warm, skip)
             total_retired += done
             stats.fast_forwarded += done
             if state.halted:
@@ -238,8 +219,8 @@ def run_two_speed(spec):
             unit_stats.dropped_busy += 1
             countdown += next_interval()
 
-    if push_sink is not None:
-        push_sink.close()
+    if stack.push_sink is not None:
+        stack.push_sink.close()
 
     stats.final_state = state.snapshot()
     cycles = stats.detailed_cycles
@@ -249,7 +230,7 @@ def run_two_speed(spec):
                            mispredicts=mispredicts, ipc=ipc)
     return SessionResult(
         spec=spec, core=None, cycles=cycles, stats=core_stats,
-        unit=None, driver=driver, database=database,
-        pair_analyzer=pair_analyzer, truth=None, counter=None,
+        unit=None, driver=driver, database=stack.database,
+        pair_analyzer=stack.pair_analyzer, truth=None, counter=None,
         sampling_stats=unit_stats, two_speed=stats)
 

@@ -144,14 +144,6 @@ class ControlFlowGraph:
                 edges.append(BackEdge(pred=jsr_pc, kind=CALL, taken_bit=None))
         return edges
 
-    def call_sites_of(self, entry_pc):
-        """JSR PCs that call the function entered at *entry_pc*."""
-        return list(self._call_sites.get(entry_pc, ()))
-
-    def returns_of(self, entry_pc):
-        """RET PCs inside the function entered at *entry_pc*."""
-        return list(self._returns_of.get(entry_pc, ()))
-
     def is_function_entry(self, pc):
         return pc in self._returns_of or pc in self._call_sites
 

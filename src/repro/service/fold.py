@@ -235,10 +235,6 @@ class ShardFolder:
         self.payloads_folded += 1
         return other.total_samples
 
-    def merge_database(self, other):
-        self.flush()
-        self.database.merge(other)
-
     # ------------------------------------------------------------------
     # Flushing.
 

@@ -53,7 +53,7 @@ from repro.events import Event
 from repro.service.protocol import (MAX_FRAME_BYTES, WIRE_VERSION,
                                     error_frame, ok_frame, read_frame,
                                     write_frame)
-from repro.service.workers import make_workers, worker_pid
+from repro.service.workers import make_workers
 
 
 @dataclass
@@ -200,10 +200,6 @@ class ProfileServer:
         if not self.workers:
             raise ServiceError("server not started")
         return self.workers[index]
-
-    def worker_pids(self):
-        """OS pids of the shard worker processes."""
-        return [worker_pid(worker) for worker in self.workers]
 
     def _stat_value(self, name):
         if name in ("records", "dropped_batches", "dropped_records",

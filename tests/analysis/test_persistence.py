@@ -161,6 +161,51 @@ class TestFailurePaths:
             result_from_dict({"format": "repro-session-result",
                               "version": 1, "stats": {}})
 
+    @staticmethod
+    def _bucketed():
+        db = ProfileDatabase(rollup_interval=100)
+        db.add(make_record(events=Event.RETIRED | Event.DCACHE_MISS))
+        data = database_to_dict(db)
+        assert data["version"] == 2
+        return data
+
+    @pytest.mark.parametrize("field", ("samples", "taken_count", "events"))
+    def test_count_past_int64_is_typed(self, field):
+        # The per-PC columns are int64 arrays: 2**70 used to escape as a
+        # bare OverflowError from the column write.
+        huge = 2 ** 70
+        flat = database_to_dict(_populated())
+        bucketed = self._bucketed()
+        for payload in (next(iter(flat["per_pc"].values())),
+                        next(iter(bucketed["buckets"][0]["per_pc"]
+                                  .values()))):
+            if field == "events":
+                payload["events"]["RETIRED"] = huge
+            else:
+                payload[field] = huge
+        for data in (flat, bucketed):
+            with pytest.raises(PersistenceError, match="malformed"):
+                database_from_dict(data)
+
+    def test_result_count_past_int64_is_typed(self):
+        from repro.analysis.persistence import result_from_dict
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                            "formats", "session_result_v1.json")
+        with open(path) as stream:
+            data = json.load(stream)
+        next(iter(data["database"]["per_pc"].values()))["samples"] = 2 ** 70
+        with pytest.raises(PersistenceError, match="malformed"):
+            result_from_dict(data)
+
+    @pytest.mark.parametrize("value", ("lots", 2 ** 70, -1, 1.5, None,
+                                       True))
+    def test_total_samples_must_be_a_count(self, value):
+        for data in (database_to_dict(_populated()), self._bucketed()):
+            data["total_samples"] = value
+            with pytest.raises(PersistenceError, match="total_samples"):
+                database_from_dict(data)
+
     def test_persistence_error_is_an_analysis_error(self):
         # Back-compat: handlers written against AnalysisError keep
         # catching the new typed failures.

@@ -25,6 +25,17 @@ def counting_loop(iterations=10, body=None, name="loop-prog"):
     return b.build(entry="main")
 
 
+def entry_block(program):
+    """*program*'s shared trace-cache block at its entry, compiled on first
+    use by a one-instruction fast-forward."""
+    from repro.cpu.tracecache import blocks
+    from repro.cpu.warm import WarmState, fast_forward
+    from repro.isa.interpreter import Interpreter
+
+    fast_forward(Interpreter(program), WarmState(), 1)
+    return blocks(program)[program.entry]
+
+
 @pytest.fixture
 def tiny_program():
     """10-iteration empty loop."""

@@ -1,11 +1,12 @@
-"""Decoded-block trace cache: exact equivalence with the plain interpreter.
+"""Decoded-block trace cache: exact equivalence with the reference interpreter.
 
 The trace cache (repro.cpu.tracecache) compiles basic blocks into fused
-step functions.  Its correctness contract is byte-exactness: a cached
-run must produce the identical architectural state, warm-state
-signature, sample records, and mispredict count as the per-instruction
-path — including across in-place Program mutations, which must
-invalidate the cache via the ``Program.version`` counter.
+step functions that ``fast_forward`` runs.  Its correctness contract is
+byte-exactness: a fast-forward must produce the identical architectural
+state, warm-state signature and sample records as the reference
+``Interpreter.run`` plus ``WarmState.observe`` per retired instruction —
+including across in-place Program mutations, which must invalidate the
+program's blocks via the ``Program.version`` counter.
 """
 
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.branch.predictors import BranchPredictor, StaticDirectionPredictor
+from repro.cpu import tracecache
 from repro.cpu.functional import FunctionalProfiler
-from repro.cpu.tracecache import MAX_BLOCK, BlockCache
+from repro.cpu.tracecache import MAX_BLOCK, blocks
 from repro.cpu.warm import WarmState, fast_forward
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import Instruction
@@ -26,27 +28,37 @@ from repro.mem.tlb import TlbConfig
 from repro.profileme.unit import ProfileMeConfig
 from repro.workloads import suite_program
 
-from tests.conftest import counting_loop
+from tests.conftest import counting_loop, entry_block
+
+
+def reference_forward(interp, warm, count):
+    """The plain side: ``Interpreter.run`` plus ``WarmState.observe``."""
+    done = 0
+    for entry in interp.run(max_instructions=count):
+        warm.observe(entry.pc, entry.inst, entry.taken, entry.next_pc,
+                     entry.eff_addr)
+        done += 1
+    return done
 
 
 def run_pair(program_factory, count, chunks=None, mutate=None,
              warm_factory=lambda program: WarmState()):
-    """Run cached and plain fast-forwards in lockstep; return both sides.
+    """Run the cached fast-forward and the reference in lockstep.
 
-    *chunks* splits the run into segments; *mutate* is an optional
-    ``(program, segment_index) -> None`` callback applied between
-    segments to BOTH programs, exercising cache invalidation.
-    *warm_factory* builds each side's warm state from its program.
+    Returns ``[cached, plain]`` sides.  *chunks* splits the run into
+    segments; *mutate* is an optional ``(program, segment_index) ->
+    None`` callback applied between segments to BOTH programs,
+    exercising cache invalidation.  *warm_factory* builds each side's
+    warm state from its program.
     """
     sides = []
-    for use_cache in (True, False):
+    for forward in (fast_forward, reference_forward):
         program = program_factory()
         interp = Interpreter(program)
         warm = warm_factory(program)
-        cache = BlockCache(program) if use_cache else None
         done = 0
         for index, chunk in enumerate(chunks or [count]):
-            done += fast_forward(interp, warm, chunk, cache=cache)
+            done += forward(interp, warm, chunk)
             if mutate is not None:
                 mutate(program, index)
         sides.append((interp, warm, done))
@@ -123,15 +135,18 @@ class TestWarmGeometries:
         # Blocks compiled while warming the default hierarchy must warm
         # a differently shaped one exactly as the interpreter does.
         program = suite_program("compress", scale=1)
-        cache = BlockCache(program)
-        fast_forward(Interpreter(program), WarmState(), 20_000, cache=cache)
+        fast_forward(Interpreter(program), WarmState(), 20_000)
+        compiled = dict(blocks(program))
+        assert compiled
         sides = []
-        for side_cache in (cache, None):
+        for forward in (fast_forward, reference_forward):
             interp = Interpreter(program)
             warm = small_geometry_warm(program)
-            done = fast_forward(interp, warm, 20_000, cache=side_cache)
+            done = forward(interp, warm, 20_000)
             sides.append((interp, warm, done))
         assert_sides_equal(*sides)
+        assert all(blocks(program)[pc] is block
+                   for pc, block in compiled.items())
 
 
 # Operands around the signed/unsigned boundaries of a 64-bit word.
@@ -158,17 +173,16 @@ def _signed_ops_program():
 @pytest.mark.parametrize("a", _EDGES)
 def test_signed_ops_match_interpreter_at_edges(a):
     program = _signed_ops_program()
-    cache = BlockCache(program)
     for b in _EDGES:
         sides = []
-        for side_cache in (cache, None):
+        for forward in (fast_forward, reference_forward):
             interp = Interpreter(program)
             interp.state.regs.write(1, a)
             interp.state.regs.write(2, b)
             warm = WarmState()
-            done = fast_forward(interp, warm, 100, cache=side_cache)
+            done = forward(interp, warm, 100)
             sides.append((interp, warm, done))
-        assert cache.lookup(program.entry).fused is not None
+        assert blocks(program)[program.entry].fused is not None
         assert_sides_equal(*sides)
 
 
@@ -176,15 +190,19 @@ class TestProfilerEquivalence:
     @pytest.mark.parametrize("name", ("compress", "li", "go"))
     def test_fused_records_match_observed(self, name):
         runs = []
+        signatures = []
         for collect_truth in (False, True):
             profiler = FunctionalProfiler(
                 suite_program(name, scale=1),
                 profile=ProfileMeConfig(mean_interval=23, seed=9),
                 collect_truth=collect_truth, keep_records=True)
             runs.append(profiler.run())
+            signatures.append(profiler.warm.signature())
         fused, observed = runs
         assert fused.retired == observed.retired
-        assert fused.mispredicts == observed.mispredicts
+        # Covers the memory hierarchy and the predictor's outcome
+        # counts (every mispredict) on both sides.
+        assert signatures[0] == signatures[1]
         assert fused.hierarchy.stats() == observed.hierarchy.stats()
         key = [(r.pc, int(r.events), r.history, r.fetch_cycle)
                for r in fused.records]
@@ -202,11 +220,11 @@ class TestProfilerEquivalence:
 
 class TestInvalidation:
     def test_version_bump_drops_blocks(self, tiny_program):
-        cache = BlockCache(tiny_program)
-        block = cache.lookup(tiny_program.entry)
-        assert cache.lookup(tiny_program.entry) is block
+        block = entry_block(tiny_program)
+        assert entry_block(tiny_program) is block
         tiny_program.note_mutation()
-        assert cache.lookup(tiny_program.entry) is not block
+        assert tiny_program.entry not in blocks(tiny_program)
+        assert entry_block(tiny_program) is not block
 
     def test_patch_mid_session_changes_execution(self):
         # Patch the loop-body accumulator step from +1 to +5 after three
@@ -232,24 +250,24 @@ class TestInvalidation:
         assert regs[3] == 3 + 7 * 5
 
     def test_replace_instructions_invalidates(self, tiny_program):
-        cache = BlockCache(tiny_program)
-        cache.lookup(tiny_program.entry)
+        block = entry_block(tiny_program)
         tiny_program.replace_instructions(list(tiny_program.instructions))
         assert tiny_program.version == 1
-        # A stale fused block would execute the old code; lookup must
-        # recompile against the (identical) new list without error.
-        assert cache.lookup(tiny_program.entry).entry == tiny_program.entry
+        # A stale fused block would execute the old code; the next
+        # fast-forward must recompile against the (identical) new list.
+        fresh = entry_block(tiny_program)
+        assert fresh is not block
+        assert fresh.entry == tiny_program.entry
 
 
 class TestBlockLimits:
     def test_blocks_are_bounded(self):
         program = suite_program("gcc", scale=1)
-        cache = BlockCache(program)
         interp = Interpreter(program)
         warm = WarmState()
-        fast_forward(interp, warm, 20_000, cache=cache)
-        assert cache._blocks
-        assert all(b.length <= MAX_BLOCK for b in cache._blocks.values())
+        fast_forward(interp, warm, 20_000)
+        assert blocks(program)
+        assert all(b.length <= MAX_BLOCK for b in blocks(program).values())
 
 
 @settings(max_examples=15, deadline=None)
@@ -324,3 +342,50 @@ class TestTransformCorpus:
         cached, plain = run_pair(factory, 152, chunks=[9, 13, 130],
                                  mutate=mutate)
         assert_sides_equal(cached, plain)
+
+
+class TestSharedBlocks:
+    """Blocks belong to the Program: sessions after the first reuse them."""
+
+    @staticmethod
+    def _two_speed(program):
+        from repro.engine.session import SessionSpec, run_session
+
+        return run_session(SessionSpec(
+            program=program, exec_mode="two-speed", window=200,
+            max_retired=20_000,
+            profile=ProfileMeConfig(mean_interval=2_000, seed=5)))
+
+    def test_second_session_compiles_nothing(self, monkeypatch):
+        compiled = []
+        original = tracecache.compile_block
+
+        def counting(program, entry):
+            compiled.append(entry)
+            return original(program, entry)
+
+        monkeypatch.setattr(tracecache, "compile_block", counting)
+        program = suite_program("compress", scale=1)
+        first = self._two_speed(program)
+        assert compiled
+        del compiled[:]
+        second = self._two_speed(program)
+        assert compiled == []
+        assert second.stats.retired == first.stats.retired
+        assert second.database.total_samples == first.database.total_samples
+        # A version bump drops the blocks: the next session recompiles.
+        program.note_mutation()
+        third = self._two_speed(program)
+        assert compiled
+        assert third.stats.retired == first.stats.retired
+
+    def test_blocks_dropped_with_program(self):
+        import gc
+
+        program = counting_loop(iterations=3)
+        fast_forward(Interpreter(program), WarmState(), 10)
+        key = id(program)
+        assert key in tracecache._CACHES
+        del program
+        gc.collect()
+        assert key not in tracecache._CACHES

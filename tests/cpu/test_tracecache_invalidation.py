@@ -10,20 +10,20 @@ test enforces the contract two ways:
   every method of ``Program`` that assigns to or mutates ``self`` state
   and requires it to be registered;
 * dynamically — calling each registered mutator on a live Program must
-  bump ``version`` exactly once, and a BlockCache must drop its decoded
-  blocks afterwards.
+  bump ``version`` exactly once, and the program's shared block dict
+  must drop its decoded blocks afterwards.
 """
 
 import ast
 import inspect
 
-from repro.cpu.tracecache import BlockCache
+from repro.cpu.tracecache import blocks
 from repro.isa import program as program_module
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 
-from tests.conftest import counting_loop
+from tests.conftest import counting_loop, entry_block
 
 # Methods allowed to write self state without being mutators: dataclass
 # construction (runs before any cache can hold a reference).
@@ -130,18 +130,17 @@ class TestDynamicContract:
     def test_every_mutator_bumps_version_and_drops_cache(self):
         for name in Program.MUTATING_APIS:
             program = counting_loop(iterations=3)
-            cache = BlockCache(program)
-            block = cache.lookup(program.entry)
+            block = entry_block(program)
             before = program.version
             self._call_with_benign_args(program, name)
             assert program.version == before + 1, name
-            assert cache.lookup(program.entry) is not block, name
+            assert program.entry not in blocks(program), name
+            assert entry_block(program) is not block, name
 
     def test_mutator_raising_still_invalidates(self, tiny_program):
-        cache = BlockCache(tiny_program)
-        block = cache.lookup(tiny_program.entry)
+        block = entry_block(tiny_program)
         try:
             tiny_program.patch(-4, None)
         except Exception:
             pass
-        assert cache.lookup(tiny_program.entry) is not block
+        assert entry_block(tiny_program) is not block

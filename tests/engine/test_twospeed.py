@@ -247,6 +247,25 @@ class TestTwoSpeedSession:
         assert (result.sampling_stats.selections
                 >= result.sampling_stats.dropped_busy)
 
+    def test_rollup_settings_reach_the_database(self):
+        # The rollup fields are hashed by canonical(), so a two-speed run
+        # must honour them like a detailed one does.
+        program = suite_program("compress", scale=1)
+        flat = run_session(_two_speed_spec(program))
+        rolled = run_session(_two_speed_spec(
+            program, rollup_interval=1000, retain_buckets=4))
+        database = rolled.database
+        assert database.rollup_interval == 1000
+        assert database.retain_buckets == 4
+        assert 0 < database.bucket_count <= 4
+        assert database.ingested_samples == flat.database.total_samples
+
+    def test_probe_stream_is_rejected(self):
+        # No core lives between windows to read probes from; the field
+        # used to be ignored silently.
+        with pytest.raises(ConfigError, match="probe"):
+            _two_speed_spec(counting_loop(iterations=20), probe_stream=500)
+
     def test_validation_rejects_bad_two_speed_specs(self):
         program = counting_loop(iterations=20)
         profile = ProfileMeConfig(mean_interval=50, seed=1)

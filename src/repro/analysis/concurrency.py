@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.errors import AnalysisError
 from repro.isa.opcodes import OpClass, op_class
-from repro.profileme.registers import GroupRecord, PairedRecord
+from repro.profileme.registers import sample_pairs
 
 
 @dataclass(frozen=True)
@@ -197,35 +197,29 @@ class PairAnalyzer:
         sampling feeds the same estimators with N(N-1)/2 pairs per
         interrupt.
         """
-        if isinstance(sample, GroupRecord):
-            for earlier, later, offset in sample.member_pairs():
-                self.add(PairedRecord(first=earlier, second=later,
-                                      intra_pair_cycles=offset,
-                                      intra_pair_distance=None))
-            return
-        if not isinstance(sample, PairedRecord):
-            return  # single records carry no pair information
-        self.pairs_seen += 1
-        if sample.second is None or sample.intra_pair_cycles is None:
-            return
-        self.pairs_usable += 1
-        timeline = PairTimeline(sample)
-        for record, times, other_record, other_times in timeline.members():
-            if record.pc is None:
+        for pair in sample_pairs(sample):
+            self.pairs_seen += 1
+            if pair.second is None or pair.intra_pair_cycles is None:
                 continue
-            stats = self._stats(record.pc)
-            stats.appearances += 1
-            if record.retired:
-                stats.retired_appearances += 1
-            latency = record.fetch_to_retire_ready
-            if latency is not None:
-                stats.latency_sum += latency
-                stats.latency_count += 1
-            if useful_overlap(times, other_record, other_times):
-                stats.useful_overlaps += 1
-        for name, func in self._metrics.items():
-            self._metric_sums[name] += func(sample.first, sample.second,
-                                            timeline)
+            self.pairs_usable += 1
+            timeline = PairTimeline(pair)
+            for record, times, other_record, other_times in \
+                    timeline.members():
+                if record.pc is None:
+                    continue
+                stats = self._stats(record.pc)
+                stats.appearances += 1
+                if record.retired:
+                    stats.retired_appearances += 1
+                latency = record.fetch_to_retire_ready
+                if latency is not None:
+                    stats.latency_sum += latency
+                    stats.latency_count += 1
+                if useful_overlap(times, other_record, other_times):
+                    stats.useful_overlaps += 1
+            for name, func in self._metrics.items():
+                self._metric_sums[name] += func(pair.first, pair.second,
+                                                timeline)
 
     # ------------------------------------------------------------------
     # Section 5.2.3 estimators.

@@ -46,8 +46,7 @@ from typing import Dict
 
 from repro.errors import AnalysisError
 from repro.events import Event
-from repro.profileme.registers import (GroupRecord, LATENCY_FIELDS,
-                                       PairedRecord)
+from repro.profileme.registers import LATENCY_FIELDS, sample_records
 
 # Event flags aggregated per PC (mirrors the ground-truth tracker so the
 # two sides of the Figure 3 comparison count the same things).
@@ -594,17 +593,8 @@ class ProfileDatabase:
 
     def add(self, sample):
         """Fold one record (or every member of a paired/N-way sample) in."""
-        if isinstance(sample, PairedRecord):
-            self.add_record(sample.first)
-            if sample.second is not None:
-                self.add_record(sample.second)
-            return
-        if isinstance(sample, GroupRecord):
-            for record in sample.records:
-                if record is not None:
-                    self.add_record(record)
-            return
-        self.add_record(sample)
+        for record in sample_records(sample):
+            self.add_record(record)
 
     def add_record(self, record):
         store = self._single

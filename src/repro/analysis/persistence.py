@@ -134,12 +134,20 @@ def database_to_dict(database):
     return document
 
 
-def _total_samples(value):
-    """A document's ``total_samples``, checked to be an int64 count."""
+def _count(value, what):
+    """A document's count field *what*, checked to be an int64 count."""
     if type(value) is not int or not 0 <= value < 2 ** 63:
-        raise PersistenceError("total_samples must be a non-negative "
-                               "64-bit int, got %r" % (value,))
+        raise PersistenceError("%s must be a non-negative 64-bit int, "
+                               "got %r" % (what, value))
     return value
+
+
+def _counted(cls, payload, what):
+    """Build dataclass *cls* from *payload*, checking its int fields."""
+    for field in dataclasses.fields(cls):
+        if field.type is int and field.name in payload:
+            _count(payload[field.name], "%s.%s" % (what, field.name))
+    return cls(**payload)
 
 
 def _profile_from_payload(pc, payload, with_addresses=True):
@@ -179,7 +187,8 @@ def database_from_dict(data):
     try:
         if version == BUCKETED_FORMAT_VERSION:
             database = ProfileDatabase(
-                keep_addresses=data.get("keep_addresses", 0),
+                keep_addresses=_count(data.get("keep_addresses", 0),
+                                      "keep_addresses"),
                 rollup_interval=int(data["rollup_interval"]),
                 retain_buckets=int(data.get("retain_buckets", 0)))
             database.evicted_samples = int(data.get("evicted_samples", 0))
@@ -193,11 +202,14 @@ def database_from_dict(data):
             addresses = database.addresses_table()
             for pc_text, entries in data.get("addresses", {}).items():
                 addresses[int(pc_text)] = [tuple(item) for item in entries]
-            database.total_samples = _total_samples(data["total_samples"])
+            database.total_samples = _count(data["total_samples"],
+                                            "total_samples")
         else:
             database = ProfileDatabase(
-                keep_addresses=data.get("keep_addresses", 0))
-            database.total_samples = _total_samples(data["total_samples"])
+                keep_addresses=_count(data.get("keep_addresses", 0),
+                                      "keep_addresses"))
+            database.total_samples = _count(data["total_samples"],
+                                            "total_samples")
             for pc_text, payload in data["per_pc"].items():
                 pc = int(pc_text)
                 database.set_profile(pc, _profile_from_payload(pc, payload))
@@ -310,11 +322,14 @@ def result_from_dict(data, spec=None):
         return SessionResult(
             spec=spec,
             core=None,
-            cycles=data["cycles"],
-            stats=CoreStats(**data["stats"]),
+            cycles=_count(data["cycles"], "cycles"),
+            stats=_counted(CoreStats, data["stats"], "stats"),
             database=database_from_dict(database) if database else None,
-            sampling_stats=ProfileMeStats(**sampling) if sampling else None,
-            two_speed=TwoSpeedStats(**two_speed) if two_speed else None,
+            sampling_stats=(_counted(ProfileMeStats, sampling,
+                                     "sampling_stats")
+                            if sampling else None),
+            two_speed=(_counted(TwoSpeedStats, two_speed, "two_speed")
+                       if two_speed else None),
             probes=data.get("probes"))
     except AnalysisError:
         raise

@@ -26,7 +26,7 @@ from typing import Dict
 from repro.analysis.concurrency import PairTimeline, useful_overlap
 from repro.errors import AnalysisError
 from repro.events import Event
-from repro.profileme.registers import GroupRecord, PairedRecord
+from repro.profileme.registers import sample_pairs
 
 # Pipeline stages a partner can occupy at a given cycle, derived from its
 # stage boundary times (in pipeline order).
@@ -70,24 +70,18 @@ class PipelineStateEstimator:
 
     def add(self, sample):
         """Fold one paired/N-way sample in (other types are ignored)."""
-        if isinstance(sample, GroupRecord):
-            for earlier, later, offset in sample.member_pairs():
-                self.add(PairedRecord(first=earlier, second=later,
-                                      intra_pair_cycles=offset,
-                                      intra_pair_distance=None))
-            return
-        if not isinstance(sample, PairedRecord) or not sample.complete:
-            return
-        if sample.intra_pair_cycles is None:
-            return
-        timeline = PairTimeline(sample)
-        for record, times, other_record, other_times in timeline.members():
-            self.anchors += 1
-            base = times.fetch
-            for offset in range(self.max_offset):
-                stage = stage_at(other_times, base + offset)
-                if stage is not None:
-                    self.occupancy[stage][offset] += 1
+        for pair in sample_pairs(sample):
+            if not pair.complete or pair.intra_pair_cycles is None:
+                continue
+            timeline = PairTimeline(pair)
+            for record, times, other_record, other_times in \
+                    timeline.members():
+                self.anchors += 1
+                base = times.fetch
+                for offset in range(self.max_offset):
+                    stage = stage_at(other_times, base + offset)
+                    if stage is not None:
+                        self.occupancy[stage][offset] += 1
 
     def profile(self):
         """Normalized occupancy: stage -> [fraction per offset]."""
@@ -172,17 +166,9 @@ def conditional_concurrency(pairs, predicate=None, pcs=None,
                     else "hit")
 
     buckets: Dict[object, ConcurrencySplit] = {}
-    for pair in pairs:
-        if isinstance(pair, GroupRecord):
-            members = [PairedRecord(first=a, second=b, intra_pair_cycles=o,
-                                    intra_pair_distance=None)
-                       for a, b, o in pair.member_pairs()]
-        else:
-            members = [pair]
-        for member in members:
-            if not isinstance(member, PairedRecord) or not member.complete:
-                continue
-            if member.intra_pair_cycles is None:
+    for sample in pairs:
+        for member in sample_pairs(sample):
+            if not member.complete or member.intra_pair_cycles is None:
                 continue
             timeline = PairTimeline(member)
             for record, times, other_record, other_times in \

@@ -79,18 +79,6 @@ class FunctionalProfiler:
         self.keep_records = keep_records
         self._rng = SamplingRng(self.profile.seed)
 
-    def _next_interval(self):
-        if self.profile.distribution == "geometric":
-            interval = self._rng.geometric_interval(self.profile.mean_interval)
-        else:
-            interval = self._rng.interval(self.profile.mean_interval,
-                                          self.profile.jitter)
-        # The run loop decrements then tests `== 0`: an interval of 0
-        # would skip that test for the rest of the run.  Clamp so the
-        # invariant (countdown always reaches exactly 0) holds even if a
-        # custom rng returns a degenerate draw.
-        return interval if interval >= 1 else 1
-
     def run(self, max_instructions=None):
         """Execute and sample; returns a :class:`FunctionalRun`.
 
@@ -103,6 +91,8 @@ class FunctionalProfiler:
         per-instruction event attribution, so with it every instruction
         is an observed step.
         """
+        from repro.profileme.unit import draw_interval
+
         program = self.program
         interp = Interpreter(program)
         state = interp.state
@@ -115,7 +105,7 @@ class FunctionalProfiler:
         database = ProfileDatabase()
         records = []
         truth = {}
-        countdown = self._next_interval()
+        countdown = draw_interval(self.profile, self._rng)
         retired = 0
         while not state.halted and (limit is None or retired < limit):
             if countdown > 1 and not collect_truth:
@@ -130,7 +120,8 @@ class FunctionalProfiler:
             inst = fetch(pc)
             taken, next_pc, eff_addr = inst.exec_fn(state, inst, pc,
                                                     program)
-            events, history = observe(pc, inst, taken, next_pc, eff_addr)
+            events, history, _, _ = observe(pc, inst, taken, next_pc,
+                                            eff_addr)
             state.pc = next_pc
             if collect_truth:
                 pc_truth = truth.get(pc)
@@ -144,7 +135,7 @@ class FunctionalProfiler:
                             pc_truth.events.get(flag, 0) + 1
             countdown -= 1
             if countdown == 0:
-                countdown = self._next_interval()
+                countdown = draw_interval(self.profile, self._rng)
                 record = self._sample_record(pc, inst, events, history,
                                              eff_addr, next_pc, retired)
                 database.add_record(record)

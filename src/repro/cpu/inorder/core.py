@@ -20,15 +20,14 @@ Fidelity notes (documented substitutions):
 * retirement is in order, a fixed two stages after completion.
 """
 
-from repro.branch.history import GlobalHistoryRegister
 from repro.branch.predictors import BranchPredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.dynops import DynInst
 from repro.cpu.probes import inst_slot
+from repro.cpu.warm import WarmState
 from repro.engine.core import CoreBase
 from repro.errors import SimulationError
 from repro.events import Event
-from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.interpreter import Interpreter
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import NUM_REGS
@@ -36,6 +35,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 
 _FRONTEND_DEPTH = 2  # fetch -> issue stages
 _RETIRE_DEPTH = 2  # complete -> retire stages
+_MISPREDICT = int(Event.MISPREDICT)
 
 
 class InOrderCore(CoreBase):
@@ -44,15 +44,19 @@ class InOrderCore(CoreBase):
     def __init__(self, program, config=None, hierarchy=None, predictor=None):
         super().__init__(config or MachineConfig.alpha21164_like())
         self.program = program
-        self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
-        self.predictor = predictor or BranchPredictor(self.config.predictor)
-        self.ghr = GlobalHistoryRegister(bits=30)
+        # Caches, TLBs, gshare, BTB, RAS and the GHR are warmed through
+        # the same contract the functional engines use; the core adds
+        # only the timing (scoreboard, issue slots, redirect penalties).
+        self.warm = WarmState(
+            hierarchy or MemoryHierarchy(self.config.memory),
+            predictor or BranchPredictor(self.config.predictor))
+        self.hierarchy = self.warm.hierarchy
+        self.predictor = self.warm.predictor
 
         self._interp = Interpreter(program)
 
         self._slots_used = 0
         self._reg_ready = [0] * NUM_REGS
-        self._last_fetch_block = None
 
         self.halted = False
         self.fetched = 0
@@ -87,23 +91,19 @@ class InOrderCore(CoreBase):
             return
 
         inst = entry.inst
-        dyninst = DynInst(seq=self.next_seq, pc=entry.pc, inst=inst,
+        pc = entry.pc
+        events, history, fetch_latency, data_latency = self.warm.observe(
+            pc, inst, entry.taken, entry.next_pc, entry.eff_addr)
+        dyninst = DynInst(seq=self.next_seq, pc=pc, inst=inst,
                           fetch_cycle=0)
         self.next_seq += 1
-        dyninst.history_at_fetch = self.ghr.value
+        dyninst.history_at_fetch = history
         dyninst.eff_addr = entry.eff_addr
+        dyninst.events = events
         self.fetched += 1
 
-        earliest = max(self.cycle, self.fetch_stall_until)
-
-        # Fetch-block crossing: one I-cache access per block.
-        block = entry.pc >> 6  # 64-byte I-cache line
-        if block != self._last_fetch_block:
-            latency, events = self.hierarchy.ifetch(entry.pc)
-            if events:
-                dyninst.events |= events
-            earliest += latency
-            self._last_fetch_block = block
+        # A fetch-block crossing pays its I-cache access before issue.
+        earliest = max(self.cycle, self.fetch_stall_until) + fetch_latency
 
         # Register hazards (stall-on-use scoreboard).
         reg_ready = self._reg_ready
@@ -122,67 +122,33 @@ class InOrderCore(CoreBase):
         issue = self.cycle
         self._slots_used += 1
 
-        # Execute.
-        latency = inst.exec_latency
+        # Execute: a load waits for its data; stores and prefetches are
+        # fire and forget.
         if inst.is_load:
-            lat, events = self.hierarchy.dread(entry.eff_addr)
-            if events:
-                dyninst.events |= events
-            latency = lat
-        elif inst.is_store:
-            lat, events = self.hierarchy.dwrite(entry.eff_addr)
-            if events:
-                dyninst.events |= events
+            latency = data_latency
+        elif inst.is_store or inst.is_prefetch:
             latency = 1
-        elif inst.is_prefetch:
-            _, events = self.hierarchy.dread(entry.eff_addr)
-            if events:
-                dyninst.events |= events
-            latency = 1  # fire and forget
+        else:
+            latency = inst.exec_latency
         complete = issue + latency
 
         dest = inst.dest_reg
         if dest is not None:
             reg_ready[dest] = complete
 
-        # Control flow: prediction and redirect cost.
-        if inst.is_conditional:
-            taken = entry.taken
-            history = self.ghr.value
-            predicted = self.predictor.predict_conditional(entry.pc, history)
-            correct = predicted == taken
-            self.predictor.train_conditional(entry.pc, history,
-                                             taken, correct)
-            self.ghr.push(taken)
-            dyninst.predicted_taken = predicted
-            dyninst.actual_taken = taken
+        # Control flow: the redirect cost of a misprediction.
+        if inst.is_control_flow:
+            mispredicted = bool(events & _MISPREDICT)
+            if inst.is_conditional:
+                dyninst.actual_taken = entry.taken
+                dyninst.predicted_taken = entry.taken != mispredicted
+            else:
+                dyninst.actual_taken = True
             dyninst.actual_target = entry.next_pc
-            if taken:
-                dyninst.events |= Event.BRANCH_TAKEN
-            if not correct:
-                dyninst.events |= Event.MISPREDICT
+            if mispredicted:
                 self.mispredicts += 1
                 self.fetch_stall_until = (complete
                                           + self.config.mispredict_penalty)
-            self._last_fetch_block = None  # redirect refetches the block
-        elif inst.is_control_flow:
-            dyninst.actual_taken = True
-            dyninst.actual_target = entry.next_pc
-            dyninst.events |= Event.BRANCH_TAKEN
-            if inst.op in (Opcode.JMP, Opcode.RET):
-                predicted = (self.predictor.predict_indirect(entry.pc)
-                             if inst.op is Opcode.JMP
-                             else self.predictor.ras.pop())
-                if predicted != entry.next_pc:
-                    dyninst.events |= Event.MISPREDICT
-                    self.mispredicts += 1
-                    self.fetch_stall_until = (
-                        complete + self.config.mispredict_penalty)
-                if inst.op is Opcode.JMP:
-                    self.predictor.train_indirect(entry.pc, entry.next_pc)
-            elif inst.op is Opcode.JSR:
-                self.predictor.ras.push(entry.pc + INSTRUCTION_BYTES)
-            self._last_fetch_block = None
 
         # Timestamps: fixed frontend depth, in-order retirement.
         dyninst.fetch_cycle = max(0, issue - _FRONTEND_DEPTH)
@@ -194,7 +160,6 @@ class InOrderCore(CoreBase):
             dyninst.load_complete_cycle = complete
         retire = max(self._last_retire_cycle, complete + _RETIRE_DEPTH)
         dyninst.retire_cycle = retire
-        dyninst.events |= Event.RETIRED
         self._last_retire_cycle = retire
         self.retired += 1
 

@@ -24,6 +24,7 @@ Register stamps each record with its thread, so per-thread profiles fall
 out of one sampling infrastructure.
 """
 
+import dataclasses
 from typing import List
 
 from repro.branch.predictors import BranchPredictor
@@ -78,24 +79,14 @@ class SmtCore(CoreBase):
         thread_config = self.config
         if partition and threads > 1:
             # Partition the window resources evenly across contexts.
-            thread_config = MachineConfig.alpha21264_like(
+            thread_config = dataclasses.replace(
+                self.config,
                 name=self.config.name + "-smt%d" % threads,
-                fetch_width=self.config.fetch_width,
-                map_width=self.config.map_width,
-                issue_width=self.config.issue_width,
-                retire_width=self.config.retire_width,
                 rob_entries=max(8, self.config.rob_entries // threads),
                 iq_entries=max(4, self.config.iq_entries // threads),
                 lsq_entries=max(4, self.config.lsq_entries // threads),
                 phys_regs=max(40, 32 + (self.config.phys_regs - 32)
-                              // threads),
-                fetch_queue_entries=self.config.fetch_queue_entries,
-                frontend_delay=self.config.frontend_delay,
-                mispredict_penalty=self.config.mispredict_penalty,
-                units=self.config.units,
-                memory=self.config.memory,
-                predictor=self.config.predictor,
-            )
+                              // threads))
 
         self.hierarchy = MemoryHierarchy(self.config.memory)
         self.predictor = BranchPredictor(self.config.predictor)

@@ -10,10 +10,10 @@ would start from a cold machine and measure mostly compulsory misses.
 that crosses engine boundaries.  :func:`fast_forward` is the one loop
 that steps a program functionally: the two-speed scheduler calls it
 between detailed windows and the functional profiler between samples.
-Its per-instruction path and the profiler's observed steps go through
-:meth:`WarmState.observe`, and its fused trace-cache blocks make the
-same updates inline, so the engines cannot drift apart in how they warm
-the models.
+Its per-instruction path, the profiler's observed steps and the in-order
+core go through :meth:`WarmState.observe`, and its fused trace-cache
+blocks make the same updates inline, so the engines cannot drift apart
+in how they warm the models.
 
 What the contract covers (carried across hand-offs):
 
@@ -70,31 +70,35 @@ class WarmState:
     def observe(self, pc, inst, taken, next_pc, eff_addr):
         """Warm all models with one retired instruction.
 
-        Returns ``(events, history)``: the event flags (an int bit mask
-        of :class:`Event` values) a retired-instruction sampler would
-        record and the global history *before* this instruction updated
-        it.  This is the reference for functional-mode warming: the
-        profiler's observed steps and :func:`fast_forward`'s
-        per-instruction path call it, and fused trace-cache blocks must
-        match it update for update.
+        Returns ``(events, history, fetch_latency, data_latency)``: the
+        event flags (an int bit mask of :class:`Event` values) a
+        retired-instruction sampler would record, the global history
+        *before* this instruction updated it, and the latencies of the
+        I-side access (0 when the fetch stayed on the current line) and
+        the D-side access (0 for non-memory instructions).  This is the
+        reference for warming: the in-order core, the profiler's
+        observed steps and :func:`fast_forward`'s per-instruction path
+        call it, and fused trace-cache blocks must match it update for
+        update.
         """
         hierarchy = self.hierarchy
         events = _RETIRED
+        fetch_latency = data_latency = 0
 
         # Instruction fetch: one I-side access per 64B line crossing.
         line = pc >> 6
         if line != self.last_fetch_line:
-            _, fetch_events = hierarchy.ifetch(pc)
+            fetch_latency, fetch_events = hierarchy.ifetch(pc)
             events |= fetch_events
             self.last_fetch_line = line
 
         history = self.ghr.value
 
         if inst.is_load or inst.is_prefetch:
-            _, mem_events = hierarchy.dread(eff_addr)
+            data_latency, mem_events = hierarchy.dread(eff_addr)
             events |= mem_events
         elif inst.is_store:
-            _, mem_events = hierarchy.dwrite(eff_addr)
+            data_latency, mem_events = hierarchy.dwrite(eff_addr)
             events |= mem_events
         elif inst.is_conditional:
             predicted = self.predictor.direction.observe(pc, history, taken)
@@ -120,7 +124,7 @@ class WarmState:
                 predictor.ras.push(pc + INSTRUCTION_BYTES)
             self.last_fetch_line = None
 
-        return events, history
+        return events, history, fetch_latency, data_latency
 
     def signature(self):
         """Comparable digest of every piece of contract state.

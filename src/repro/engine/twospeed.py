@@ -42,8 +42,9 @@ from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.warm import WarmState, fast_forward
 from repro.isa.interpreter import Interpreter
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.profileme.registers import GroupRecord, PairedRecord
-from repro.profileme.unit import ProfileMeStats, ProfileMeUnit
+from repro.profileme.registers import shift_sample
+from repro.profileme.unit import (ProfileMeStats, ProfileMeUnit,
+                                  draw_interval)
 from repro.utils.rng import SamplingRng
 
 # Fraction of each window spent rebuilding pipeline state before the
@@ -74,41 +75,6 @@ class TwoSpeedStats:
         return self.detailed_retired / total if total else 0.0
 
 
-def _rebase(sample, base):
-    """Shift a delivered sample's timestamps onto the global cycle axis."""
-    if base == 0:
-        return sample
-    if isinstance(sample, PairedRecord):
-        return dataclasses.replace(
-            sample,
-            first=_rebase(sample.first, base),
-            second=(_rebase(sample.second, base)
-                    if sample.second is not None else None))
-    if isinstance(sample, GroupRecord):
-        return dataclasses.replace(
-            sample,
-            records=tuple(_rebase(record, base)
-                          if record is not None else None
-                          for record in sample.records))
-    return dataclasses.replace(sample,
-                               fetch_cycle=sample.fetch_cycle + base,
-                               done_cycle=sample.done_cycle + base)
-
-
-def _merge_unit_stats(total, window_stats):
-    total.selections += window_stats.selections
-    total.dropped_busy += window_stats.dropped_busy
-    total.member_selections += window_stats.member_selections
-    total.tagged += window_stats.tagged
-    total.offpath_selections += window_stats.offpath_selections
-    total.empty_selections += window_stats.empty_selections
-    total.records_delivered += window_stats.records_delivered
-    total.interrupts += window_stats.interrupts
-    total.overhead_cycles += window_stats.overhead_cycles
-    total.max_concurrent_groups = max(total.max_concurrent_groups,
-                                      window_stats.max_concurrent_groups)
-
-
 def run_two_speed(spec):
     """Run *spec* in two-speed mode; returns a ``SessionResult``.
 
@@ -137,14 +103,10 @@ def run_two_speed(spec):
 
     def deliver(batch):
         base = cycle_base[0]
-        driver.handle_interrupt([_rebase(sample, base) for sample in batch])
+        driver.handle_interrupt([shift_sample(sample, base)
+                                 for sample in batch])
 
     scheduler_rng = SamplingRng(profile.seed)
-
-    def next_interval():
-        if profile.distribution == "geometric":
-            return scheduler_rng.geometric_interval(profile.mean_interval)
-        return scheduler_rng.interval(profile.mean_interval, profile.jitter)
 
     stats = TwoSpeedStats(warmup=warmup)
     unit_stats = ProfileMeStats()
@@ -153,7 +115,7 @@ def run_two_speed(spec):
     max_retired = spec.max_retired
     state = interp.state
 
-    countdown = next_interval()
+    countdown = draw_interval(profile, scheduler_rng)
     while not state.halted:
         if max_retired is not None and total_retired >= max_retired:
             break
@@ -189,7 +151,7 @@ def run_two_speed(spec):
             limit = min(limit, max_retired - total_retired)
         cycles = core.run(max_retired=limit)
         unit.finalize()
-        _merge_unit_stats(unit_stats, unit.stats)
+        unit_stats.merge(unit.stats)
         cycle_base[0] += cycles
 
         stats.windows += 1
@@ -210,14 +172,15 @@ def run_two_speed(spec):
             break
 
         # Next sample point, measured from the window's sample anchor.
-        countdown = next_interval() - (core.retired - lead)
+        countdown = (draw_interval(profile, scheduler_rng)
+                     - (core.retired - lead))
         while countdown <= 0:
             # The free-running counter would have fired inside the window
             # we already simulated; the selection is lost, not deferred.
             stats.skipped_samples += 1
             unit_stats.selections += 1
             unit_stats.dropped_busy += 1
-            countdown += next_interval()
+            countdown += draw_interval(profile, scheduler_rng)
 
     if stack.push_sink is not None:
         stack.push_sink.close()

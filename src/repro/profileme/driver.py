@@ -12,7 +12,8 @@ so retention policy (keep-all vs. aggregate-only, and the ``max_records``
 cap that bounds keep-all on long runs) is decided here.
 """
 
-from repro.profileme.registers import GroupRecord, PairedRecord
+from repro.profileme.registers import (GroupRecord, PairedRecord,
+                                       sample_records)
 
 
 class ProfileMeDriver:
@@ -73,10 +74,6 @@ class ProfileMeDriver:
     def all_single_records(self):
         """Every ProfileRecord seen, unpacking pairs/groups into members."""
         unpacked = list(self.records)
-        for pair in self.pairs:
-            unpacked.append(pair.first)
-            if pair.second is not None:
-                unpacked.append(pair.second)
-        for group in self.groups:
-            unpacked.extend(r for r in group.records if r is not None)
+        for sample in self.pairs + self.groups:
+            unpacked.extend(sample_records(sample))
         return unpacked

@@ -21,6 +21,7 @@ The capture function reads **only architecturally observable fields** of a
 DynInst — never simulator bookkeeping like physical register numbers.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,3 +245,60 @@ class PairedRecord:
     @property
     def complete(self):
         return self.second is not None
+
+
+# ----------------------------------------------------------------------
+# Sample shape: a delivered sample is a ProfileRecord (single sampling),
+# a PairedRecord or an N-way GroupRecord.  Software reads it only
+# through these three helpers.
+
+
+def sample_records(sample):
+    """The ProfileRecords a delivered sample holds, in member order."""
+    if isinstance(sample, PairedRecord):
+        if sample.second is None:
+            return (sample.first,)
+        return (sample.first, sample.second)
+    if isinstance(sample, GroupRecord):
+        return tuple(record for record in sample.records
+                     if record is not None)
+    return (sample,)
+
+
+def sample_pairs(sample):
+    """The sample as PairedRecords: one for a pair, N(N-1)/2 for a group.
+
+    A pair comes back as delivered, even without its second member; a
+    group yields one complete pair per two present members (with the
+    measured fetch offset as ``intra_pair_cycles``); a single record
+    carries no pair information and yields none.
+    """
+    if isinstance(sample, PairedRecord):
+        return (sample,)
+    if isinstance(sample, GroupRecord):
+        return tuple(PairedRecord(first=earlier, second=later,
+                                  intra_pair_cycles=offset,
+                                  intra_pair_distance=None)
+                     for earlier, later, offset in sample.member_pairs())
+    return ()
+
+
+def shift_sample(sample, cycles):
+    """The sample with every member's timestamps moved by *cycles*."""
+    if cycles == 0:
+        return sample
+    if isinstance(sample, PairedRecord):
+        return dataclasses.replace(
+            sample,
+            first=shift_sample(sample.first, cycles),
+            second=(shift_sample(sample.second, cycles)
+                    if sample.second is not None else None))
+    if isinstance(sample, GroupRecord):
+        return dataclasses.replace(
+            sample,
+            records=tuple(shift_sample(record, cycles)
+                          if record is not None else None
+                          for record in sample.records))
+    return dataclasses.replace(sample,
+                               fetch_cycle=sample.fetch_cycle + cycles,
+                               done_cycle=sample.done_cycle + cycles)

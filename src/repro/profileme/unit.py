@@ -37,6 +37,7 @@ The unit observes *only* what the paper's hardware can observe: fetch
 slots, retirement, and aborts.  It never peeks at simulator internals.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -130,6 +131,29 @@ class ProfileMeStats:
     def useful_fraction(self):
         """Fraction of member selections that tagged an instruction."""
         return ratio(self.tagged, self.member_selections)
+
+    def merge(self, other):
+        """Fold *other* in: counts add, the concurrency peak takes the max."""
+        for field in dataclasses.fields(self):
+            name = field.name
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, (max(mine, theirs)
+                                 if name == "max_concurrent_groups"
+                                 else mine + theirs))
+
+
+def draw_interval(config, rng):
+    """The next major interval software writes into the counter (4.1.1).
+
+    Draws from *rng* by ``config.distribution`` around
+    ``config.mean_interval``; the result is at least 1, since a zero
+    write would never count down to a selection.
+    """
+    if config.distribution == "geometric":
+        interval = rng.geometric_interval(config.mean_interval)
+    else:
+        interval = rng.interval(config.mean_interval, config.jitter)
+    return interval if interval >= 1 else 1
 
 
 class _SampleGroup:
@@ -240,12 +264,7 @@ class ProfileMeUnit(Probe):
         self._countdown = self._bus.fetch_countdown = countdown
 
     def _arm_major(self):
-        if self.config.distribution == "geometric":
-            value = self.rng.geometric_interval(self.config.mean_interval)
-        else:
-            value = self.rng.interval(self.config.mean_interval,
-                                      self.config.jitter)
-        self.major.write(value)
+        self.major.write(draw_interval(self.config, self.rng))
 
     def _arm_minor(self, group):
         distance = self.rng.pair_distance(self.config.pair_window)

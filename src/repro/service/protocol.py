@@ -133,7 +133,8 @@ from repro.errors import ProtocolError
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import (GroupRecord, LATENCY_FIELDS,
-                                       PairedRecord, ProfileRecord)
+                                       PairedRecord, ProfileRecord,
+                                       sample_records)
 
 WIRE_VERSION = 2  # binary push/probe_push data frames, JSON control
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -563,15 +564,7 @@ def encode_binary_frame(frame_type, payload, count, sync=False):
 
 def _sample_count(samples):
     """Records inside a batch, counting every pair/group member."""
-    total = 0
-    for sample in samples:
-        if isinstance(sample, PairedRecord):
-            total += 1 if sample.second is None else 2
-        elif isinstance(sample, GroupRecord):
-            total += sum(1 for r in sample.records if r is not None)
-        else:
-            total += 1
-    return total
+    return sum(len(sample_records(sample)) for sample in samples)
 
 
 def plan_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):

@@ -206,6 +206,48 @@ class TestFailurePaths:
             with pytest.raises(PersistenceError, match="total_samples"):
                 database_from_dict(data)
 
+    @pytest.mark.parametrize("value", ("many", 2 ** 70, -1, 1.5, None,
+                                       True))
+    def test_keep_addresses_must_be_a_count(self, value):
+        for data in (database_to_dict(_populated()), self._bucketed()):
+            data["keep_addresses"] = value
+            with pytest.raises(PersistenceError, match="keep_addresses"):
+                database_from_dict(data)
+
+    @staticmethod
+    def _result_fixture():
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                            "formats", "session_result_v1.json")
+        with open(path) as stream:
+            data = json.load(stream)
+        # Every int field of a two-speed run's accounting, all valid.
+        data["two_speed"] = {"windows": 3, "warmup": 100,
+                             "fast_forwarded": 9000,
+                             "detailed_retired": 1200,
+                             "detailed_cycles": 2500,
+                             "skipped_samples": 1}
+        return data
+
+    @pytest.mark.parametrize("field", (
+        ("cycles",), ("stats", "retired"), ("stats", "cycles"),
+        ("sampling_stats", "tagged"),
+        ("sampling_stats", "max_concurrent_groups"),
+        ("two_speed", "windows"), ("two_speed", "detailed_cycles")))
+    @pytest.mark.parametrize("value", ("lots", 2 ** 70, -1, 2.5, None,
+                                       False))
+    def test_result_counts_must_be_counts(self, field, value):
+        from repro.analysis.persistence import result_from_dict
+
+        result = result_from_dict(self._result_fixture())
+        assert result.two_speed.windows == 3
+        data = self._result_fixture()
+        target = data
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        with pytest.raises(PersistenceError, match=field[-1]):
+            result_from_dict(data)
+
     def test_persistence_error_is_an_analysis_error(self):
         # Back-compat: handlers written against AnalysisError keep
         # catching the new typed failures.

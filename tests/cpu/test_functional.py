@@ -7,7 +7,7 @@ import pytest
 from repro.cpu.functional import FunctionalProfiler
 from repro.events import Event
 from repro.engine.session import SessionSpec, run_session
-from repro.profileme.unit import ProfileMeConfig
+from repro.profileme.unit import ProfileMeConfig, draw_interval
 from repro.workloads import suite_program
 
 
@@ -140,7 +140,7 @@ class TestIntervalSafety:
         # The run loop decrements then tests `== 0`; an interval of 0
         # would let the countdown skip past zero and never fire again.
         profiler._rng.interval = lambda mean, jitter: 0
-        assert profiler._next_interval() == 1
+        assert draw_interval(profiler.profile, profiler._rng) == 1
 
     def test_clamped_draws_still_sample(self):
         program = suite_program("compress", scale=1)

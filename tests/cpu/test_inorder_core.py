@@ -1,9 +1,16 @@
 """Tests for the in-order core model."""
 
+import pytest
+
+from repro.branch.predictors import BranchPredictor
 from repro.cpu.inorder.core import InOrderCore
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.probes import Probe
+from repro.cpu.warm import WarmState
+from repro.isa.builder import ProgramBuilder
 from repro.isa.interpreter import Interpreter
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.workloads import suite_program
 
 from tests.conftest import counting_loop
 
@@ -87,3 +94,50 @@ def test_ipc_reported(tiny_program):
     core = InOrderCore(tiny_program)
     core.run()
     assert 0 < core.ipc <= core.config.issue_width
+
+
+def _prefetch_loop():
+    b = ProgramBuilder(name="pf-loop")
+    b.alloc("arr", 4096)
+    b.begin_function("main")
+    b.li_addr(2, "arr")
+    b.ldi(1, 40)
+    b.label("loop")
+    b.prefetch(2, 512)
+    b.ld(3, 2, 0)
+    b.st(3, 2, 8)
+    b.lda(2, 2, 64)
+    b.lda(1, 1, -1)
+    b.bne(1, "loop")
+    b.halt()
+    b.end_function()
+    return b.build(entry="main")
+
+
+@pytest.mark.parametrize("workload", ["memory_program", "call_program",
+                                      "prefetch", "gcc", "perl"])
+def test_warm_state_matches_interpreter_plus_observe(workload, request):
+    """The core warms caches, TLBs and predictors only through WarmState.
+
+    Its final warm state equals the reference interpreter's retired
+    stream fed through ``WarmState.observe`` (gcc and perl add indirect
+    jumps; the prefetch loop adds prefetches and stores).
+    """
+    def build():
+        if workload == "prefetch":
+            return _prefetch_loop()
+        if workload in ("gcc", "perl"):
+            return suite_program(workload, scale=1)
+        return request.getfixturevalue(workload)
+
+    core = InOrderCore(build())
+    core.run()
+    reference = WarmState(MemoryHierarchy(core.config.memory),
+                          BranchPredictor(core.config.predictor))
+    retired = 0
+    for entry in Interpreter(build()).run():
+        reference.observe(entry.pc, entry.inst, entry.taken, entry.next_pc,
+                          entry.eff_addr)
+        retired += 1
+    assert retired == core.retired
+    assert core.warm.signature() == reference.signature()

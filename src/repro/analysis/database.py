@@ -21,15 +21,18 @@ column copies when the destination is empty — the shape of every
 ``collect_database`` query), and ``top_by_event`` is ``heapq.nlargest``
 over a single column.
 
-**Time-bucketed rollup.**  With ``rollup_interval > 0`` samples fold
-into the column store of the bucket covering their ``fetch_cycle``;
-closed buckets roll up into exponentially coarser epochs (1x/8x/64x the
-interval) and a ``retain_buckets`` cap evicts the oldest buckets with
-exact ``evicted_samples`` accounting, keeping the database bounded under
+**Buckets.**  The database is a list of time buckets, each one column
+store.  With ``rollup_interval > 0`` samples fold into the bucket
+covering their ``fetch_cycle``; closed buckets roll up into
+exponentially coarser epochs (1x/8x/64x the interval) and a
+``retain_buckets`` cap evicts the oldest buckets with exact
+``evicted_samples`` accounting, keeping the database bounded under
 continuous ingest (the DCPI "database stays bounded" property).  With
-``rollup_interval == 0`` (the default) there is a single store and
-behaviour — including serialized byte-for-byte output — is identical to
-the pre-columnar database.
+``rollup_interval == 0`` (the default) the database is flat: one
+level-0 bucket that takes every tick, reported as no buckets at all and
+serialized as the version-1 document, byte-for-byte the pre-columnar
+format.  Only bucket routing, that reporting and the document choice
+look at ``rollup_interval``; every read goes through one merged store.
 
 The dataclass views (:class:`PcProfile`, :class:`LatencyAggregate`) are
 preserved as the read API: ``per_pc`` materializes them from the columns
@@ -362,21 +365,16 @@ class _ColumnStore:
             # Wholesale adoption: C-level column copies.  This is the
             # dominant shape — every query merges shards into a fresh
             # database.
-            self.index = dict(other.index)
-            self.pcs = list(other.pcs)
-            self.samples = array("q", other.samples)
-            self.taken = array("q", other.taken)
-            self.events = tuple(array("q", column) for column in other.events)
-            self.extras = {flag: array("q", column)
-                           for flag, column in other.extras.items()}
-            self.lat_count = tuple(array("q", column)
-                                   for column in other.lat_count)
-            self.lat_total = tuple(list(column) for column in other.lat_total)
-            self.lat_sq = tuple(list(column) for column in other.lat_sq)
-            self.total = other.total
-            self._plans = {}
-            self._lat_cols = tuple(zip(self.lat_count, self.lat_total,
-                                       self.lat_sq))
+            self.__setstate__((
+                dict(other.index), list(other.pcs),
+                array("q", other.samples), array("q", other.taken),
+                tuple(array("q", column) for column in other.events),
+                {flag: array("q", column)
+                 for flag, column in other.extras.items()},
+                tuple(array("q", column) for column in other.lat_count),
+                tuple(list(column) for column in other.lat_total),
+                tuple(list(column) for column in other.lat_sq),
+                other.total))
             return
         index = self.index
         rows_self = []
@@ -446,17 +444,16 @@ class _Bucket:
 
     __slots__ = ("level", "start", "span", "store")
 
-    def __init__(self, level, start, span, store=None):
+    def __init__(self, level, start, span):
         self.level = level
         self.start = start
         self.span = span
-        self.store = store if store is not None else _ColumnStore()
+        self.store = _ColumnStore()
 
-    def __getstate__(self):
-        return (self.level, self.start, self.span, self.store)
 
-    def __setstate__(self, state):
-        self.level, self.start, self.span, self.store = state
+def _bucket_order(bucket):
+    """Oldest first; an epoch sorts before the finer buckets inside it."""
+    return (bucket.start, -bucket.level)
 
 
 class ProfileDatabase:
@@ -467,8 +464,8 @@ class ProfileDatabase:
 
         *rollup_interval*: when > 0, samples fold into time buckets of
         this many cycles (by ``fetch_cycle``); closed buckets roll up
-        into exponentially coarser epochs.  0 keeps the single flat
-        store (bit-identical to the pre-rollup database).
+        into exponentially coarser epochs.  0 keeps one flat bucket
+        that covers every tick.
 
         *retain_buckets*: hard cap on live buckets (0 = unbounded);
         the oldest buckets are evicted, with the evicted sample count
@@ -492,14 +489,13 @@ class ProfileDatabase:
         # Effective addresses are a capped side table, not bucketed:
         # retention is by arrival order, which rollup cannot reorder.
         self._addresses = {}  # pc -> [(addr, dcache_miss, dtb_miss), ...]
-        if rollup_interval:
-            self._single = None
-            self._buckets = []
-            self._current = None
-        else:
-            self._single = _ColumnStore()
-            self._buckets = None
-            self._current = None
+        # Buckets, oldest first; the current one takes in-order ticks.
+        # A flat database is one level-0 bucket that is always current.
+        self._buckets = []
+        self._current = None
+        if not rollup_interval:
+            self._current = _Bucket(0, 0, 0)
+            self._buckets.append(self._current)
         self._generation = 0
         self._view = None
         self._view_generation = -1
@@ -518,17 +514,21 @@ class ProfileDatabase:
         return state
 
     # ------------------------------------------------------------------
-    # Store routing (rollup).
+    # Bucket routing.
 
     def _store_for(self, tick):
-        single = self._single
-        if single is not None:
-            return single
         current = self._current
-        if current is not None and \
-                current.start <= tick < current.start + current.span:
+        if not self.rollup_interval or (
+                current is not None
+                and current.start <= tick < current.start + current.span):
             return current.store
         return self._route(tick).store
+
+    def _current_bucket(self):
+        """The current bucket, opened at tick 0 if there is none yet."""
+        if self._current is None:
+            return self._route(0)
+        return self._current
 
     def _route(self, tick):
         interval = self.rollup_interval
@@ -537,9 +537,7 @@ class ProfileDatabase:
         if current is None or start > current.start:
             bucket = _Bucket(0, start, interval)
             self._buckets.append(bucket)
-            if len(self._buckets) > 1 \
-                    and self._buckets[-2].start > bucket.start:
-                self._buckets.sort(key=lambda b: (b.start, -b.level))
+            self._buckets.sort(key=_bucket_order)
             self._current = bucket
             self._normalize()
             return bucket
@@ -558,10 +556,9 @@ class ProfileDatabase:
         current = self._current
         buckets = self._buckets
         if current is not None:
-            table = {}
+            table = {(bucket.level, bucket.start): bucket
+                     for bucket in buckets}
             rolled = False
-            for bucket in buckets:
-                table[(bucket.level, bucket.start)] = bucket
             for level in (0, 1):
                 coarse = interval * EPOCH_SPANS[level] * _EPOCH_FANOUT
                 horizon = current.start - current.start % coarse
@@ -579,7 +576,7 @@ class ProfileDatabase:
                     rolled = True
             if rolled:
                 buckets = self._buckets = sorted(
-                    table.values(), key=lambda b: (b.start, -b.level))
+                    table.values(), key=_bucket_order)
         retain = self.retain_buckets
         if retain:
             while len(buckets) > retain and buckets[0] is not self._current:
@@ -597,10 +594,7 @@ class ProfileDatabase:
             self.add_record(record)
 
     def add_record(self, record):
-        store = self._single
-        if store is None:
-            store = self._store_for(record.fetch_cycle)
-        store.add_record(record)
+        self._store_for(record.fetch_cycle).add_record(record)
         self.total_samples += 1
         self._generation += 1
         if self.keep_addresses and record.addr is not None:
@@ -622,10 +616,7 @@ class ProfileDatabase:
         ...)`` over :data:`~repro.profileme.registers.LATENCY_FIELDS`,
         *tick* routes the fold to a rollup bucket.
         """
-        store = self._single
-        if store is None:
-            store = self._store_for(tick)
-        store.fold(pc, count, events_key, latencies)
+        self._store_for(tick).fold(pc, count, events_key, latencies)
         self.total_samples += count
         self._generation += 1
 
@@ -654,15 +645,7 @@ class ProfileDatabase:
         use this to rebuild a database from profiles; it leaves
         ``total_samples`` untouched, so the loader sets that itself.
         """
-        store = self._single
-        if store is None:
-            current = self._current
-            if current is None:
-                current = _Bucket(0, 0, self.rollup_interval)
-                self._buckets.append(current)
-                self._current = current
-            store = current.store
-        store.set_profile(pc, profile)
+        self._current_bucket().store.set_profile(pc, profile)
         if profile.addresses:
             self._addresses[pc] = list(profile.addresses)
         else:
@@ -677,30 +660,20 @@ class ProfileDatabase:
         """Read-only ``{pc: PcProfile}`` materialized from the columns
         (cached until the next mutation); write with :meth:`set_profile`."""
         if self._view is None or self._view_generation != self._generation:
-            view = {}
             addresses = self._addresses
-            for store in self._stores():
-                index = store.index
-                profile_at = store.profile_at
-                for pc in store.pcs:
-                    if pc in view:
-                        continue
-                    view[pc] = profile_at(index[pc], pc, addresses.get(pc))
-            self._view = MappingProxyType(view)
+            store = self._merged_store()
+            profile_at = store.profile_at
+            self._view = MappingProxyType({
+                pc: profile_at(row, pc, addresses.get(pc))
+                for row, pc in enumerate(store.pcs)})
             self._view_generation = self._generation
         return self._view
 
-    def _stores(self):
-        if self._single is not None:
-            return (self._single,)
-        if len(self._buckets) > 1:
-            return (self._merged_store(),)
-        return tuple(bucket.store for bucket in self._buckets)
-
     def _merged_store(self):
-        """All buckets merged into one scratch store (cached)."""
-        if self._single is not None:
-            return self._single
+        """All buckets merged into one store: the bucket's own store
+        when there is one bucket, else a cached scratch merge."""
+        if len(self._buckets) == 1:
+            return self._buckets[0].store
         if self._merged is None \
                 or self._merged_generation != self._generation:
             merged = _ColumnStore()
@@ -745,7 +718,7 @@ class ProfileDatabase:
 
         Each entry: ``{"level", "start", "span", "samples", "pcs"}``.
         """
-        if self._buckets is None:
+        if not self.rollup_interval:
             return []
         return [{"level": bucket.level, "start": bucket.start,
                  "span": bucket.span, "samples": bucket.store.total,
@@ -754,7 +727,7 @@ class ProfileDatabase:
 
     @property
     def bucket_count(self):
-        return len(self._buckets) if self._buckets is not None else 0
+        return len(self._buckets) if self.rollup_interval else 0
 
     @property
     def ingested_samples(self):
@@ -788,7 +761,7 @@ class ProfileDatabase:
         without the global address table; addresses serialize
         separately)."""
         views = []
-        for bucket in self._buckets or ():
+        for bucket in self._buckets:
             store = bucket.store
             profiles = {pc: store.profile_at(store.index[pc], pc)
                         for pc in store.pcs}
@@ -798,20 +771,16 @@ class ProfileDatabase:
     def load_bucket(self, level, start, span, profiles):
         """Restore one bucket from its document form (*profiles* is an
         iterable of ``(pc, PcProfile)``)."""
-        if self._buckets is None:
-            raise AnalysisError("cannot load buckets into a database "
-                                "without a rollup_interval")
         bucket = _Bucket(level, start, span)
         store = bucket.store
         for pc, profile in profiles:
             store.set_profile(pc, profile)
         self._buckets.append(bucket)
-        self._buckets.sort(key=lambda b: (b.start, -b.level))
+        self._buckets.sort(key=_bucket_order)
         if level == 0 and (self._current is None
                            or start > self._current.start):
             self._current = bucket
         self._generation += 1
-        return bucket
 
     def addresses_table(self):
         """The capped effective-address side table, ``{pc: [(addr,
@@ -827,38 +796,27 @@ class ProfileDatabase:
         Bucketed databases align bucket-for-bucket on ``(level, start)``
         (so ``rollup(a) . merge . rollup(b) == rollup(a + b)`` when the
         two streams were bucketed on the same boundaries), then
-        re-normalize; a flat database merges into the current bucket.
+        re-normalize.  Otherwise the other side's merged store folds
+        into the current bucket.
         """
-        if self._buckets is None:
-            self._single.merge(other._merged_store())
-        elif other._buckets is None:
-            if other._single.pcs:
-                current = self._current
-                if current is None:
-                    current = _Bucket(0, 0, self.rollup_interval)
-                    self._buckets.append(current)
-                    self._current = current
-                current.store.merge(other._single)
-        else:
+        if self.rollup_interval and other.rollup_interval:
             table = {(bucket.level, bucket.start): bucket
                      for bucket in self._buckets}
             for theirs in other._buckets:
-                mine = table.get((theirs.level, theirs.start))
+                key = (theirs.level, theirs.start)
+                mine = table.get(key)
                 if mine is None:
-                    store = _ColumnStore()
-                    store.merge(theirs.store)
-                    table[(theirs.level, theirs.start)] = _Bucket(
-                        theirs.level, theirs.start, theirs.span, store)
-                else:
-                    mine.store.merge(theirs.store)
-            self._buckets = sorted(table.values(),
-                                   key=lambda b: (b.start, -b.level))
-            self._current = None
-            for bucket in reversed(self._buckets):
-                if bucket.level == 0:
-                    self._current = bucket
-                    break
+                    mine = table[key] = _Bucket(*key, theirs.span)
+                mine.store.merge(theirs.store)
+            self._buckets = sorted(table.values(), key=_bucket_order)
+            self._current = next((bucket for bucket
+                                  in reversed(self._buckets)
+                                  if bucket.level == 0), None)
             self._normalize()
+        else:
+            theirs = other._merged_store()
+            if theirs.pcs:
+                self._current_bucket().store.merge(theirs)
         self.total_samples += other.total_samples
         self.evicted_samples += other.evicted_samples
         if self.keep_addresses:

@@ -134,6 +134,14 @@ def database_to_dict(database):
     return document
 
 
+def _int64(value, what):
+    """A document's signed field *what*, checked to be an int64."""
+    if type(value) is not int or not -2 ** 63 <= value < 2 ** 63:
+        raise PersistenceError("%s must be a 64-bit int, got %r"
+                               % (what, value))
+    return value
+
+
 def _count(value, what):
     """A document's count field *what*, checked to be an int64 count."""
     if type(value) is not int or not 0 <= value < 2 ** 63:
@@ -186,16 +194,26 @@ def database_from_dict(data):
         raise AnalysisError("unsupported profile version %r" % (version,))
     try:
         if version == BUCKETED_FORMAT_VERSION:
+            rollup_interval = _count(data["rollup_interval"],
+                                     "rollup_interval")
+            if not rollup_interval:
+                raise PersistenceError("a bucketed profile needs "
+                                       "rollup_interval > 0")
             database = ProfileDatabase(
                 keep_addresses=_count(data.get("keep_addresses", 0),
                                       "keep_addresses"),
-                rollup_interval=int(data["rollup_interval"]),
-                retain_buckets=int(data.get("retain_buckets", 0)))
-            database.evicted_samples = int(data.get("evicted_samples", 0))
+                rollup_interval=rollup_interval,
+                retain_buckets=_count(data.get("retain_buckets", 0),
+                                      "retain_buckets"))
+            database.evicted_samples = _count(
+                data.get("evicted_samples", 0), "evicted_samples")
             for bucket in data["buckets"]:
+                # A bucket may start before tick 0 (a fetch cycle of -5
+                # lands in the bucket at -interval), so start is signed.
                 database.load_bucket(
-                    int(bucket["level"]), int(bucket["start"]),
-                    int(bucket["span"]),
+                    _count(bucket["level"], "bucket level"),
+                    _int64(bucket["start"], "bucket start"),
+                    _count(bucket["span"], "bucket span"),
                     ((int(pc_text), _profile_from_payload(
                         int(pc_text), payload, with_addresses=False))
                      for pc_text, payload in bucket["per_pc"].items()))

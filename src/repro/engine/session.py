@@ -292,6 +292,10 @@ class SessionSpec:
                               % (self.retain_buckets,))
         if self.retain_buckets and not self.rollup_interval:
             raise ConfigError("retain_buckets requires rollup_interval")
+        if self.rollup_interval and self.core_kind == "multiprog":
+            raise ConfigError("multiprog sessions cannot roll up: the "
+                              "merged view re-keys PCs and has no time "
+                              "axis")
 
     def sink_options(self):
         """The :func:`profile_sinks` options this spec selects."""
@@ -512,7 +516,9 @@ def _run_multiprog(spec):
     session = MultiProgramSession(list(spec.programs),
                                   quantum=spec.quantum,
                                   config=spec.config,
-                                  profile=spec.profile)
+                                  profile=spec.profile,
+                                  keep_records=spec.keep_records,
+                                  keep_addresses=spec.keep_addresses)
     cycles = session.run(max_total_cycles=spec.max_cycles or 5_000_000)
     database = session.merged_database() if spec.profile is not None else None
     if spec.push_to and database is not None:

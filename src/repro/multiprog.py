@@ -79,14 +79,18 @@ class MultiProgramSession:
         profile: optional ProfileMeConfig template; when given, every
             context gets its own ProfileMe unit with ``context`` set to
             its id (and a distinct seed).
+        keep_records, keep_addresses: the per-context profiling sinks'
+            record and effective-address retention.
     """
 
-    def __init__(self, programs, quantum=200, config=None, profile=None):
+    def __init__(self, programs, quantum=200, config=None, profile=None,
+                 keep_records=True, keep_addresses=0):
         if len(programs) < 1:
             raise ConfigError("need at least one program")
         if quantum < 1:
             raise ConfigError("quantum must be >= 1")
         self.quantum = quantum
+        self.keep_addresses = keep_addresses
         config = config or MachineConfig.alpha21264_like()
         shared_l2 = Cache(config.memory.l2)
         self.shared_l2 = shared_l2
@@ -102,6 +106,7 @@ class MultiProgramSession:
             if profile is not None:
                 stack = attach_profileme(
                     core, profile_config_for_context(profile, index),
+                    keep_records=keep_records, keep_addresses=keep_addresses,
                     with_pairs=False)
                 driver = stack.driver
                 database = stack.database
@@ -150,15 +155,13 @@ class MultiProgramSession:
         ``(context << 32) | pc`` so overlapping address spaces cannot
         collide.
         """
-        merged = ProfileDatabase()
+        merged = ProfileDatabase(keep_addresses=self.keep_addresses)
         for ctx in self.contexts:
             if ctx.database is None:
                 raise ConfigError("profiling was not enabled")
             for pc, profile in ctx.database.per_pc.items():
-                shifted = ProfileDatabase()
-                shifted.set_profile((ctx.context << 32) | pc, profile)
-                shifted.total_samples = profile.samples
-                merged.merge(shifted)
+                merged.set_profile((ctx.context << 32) | pc, profile)
+            merged.total_samples += ctx.database.total_samples
         return merged
 
     def context_sample_counts(self):

@@ -470,22 +470,23 @@ class ProfileMeUnit(Probe):
     def register_probes(self, registry, prefix="profileme"):
         """Expose the unit's accounting and Profile Registers.
 
-        ``profileme.stats.*`` mirrors :class:`ProfileMeStats` (all
-        counters plus the derived useful fraction); ``profileme.*``
+        ``profileme.stats.*`` mirrors every :class:`ProfileMeStats`
+        field (counters, plus ``max_concurrent_groups`` as a gauge since
+        it is a peak) and the derived useful fraction; ``profileme.*``
         gauges report the live hardware state (buffer depth, in-flight
         groups); ``profileme.registers.*`` reads the most recently
         latched Profile Register set field by field.
         """
         stats = self.stats
-        for field_name in ("selections", "dropped_busy", "member_selections",
-                           "tagged", "offpath_selections", "empty_selections",
-                           "records_delivered", "interrupts",
-                           "overhead_cycles"):
+        for stats_field in dataclasses.fields(ProfileMeStats):
+            name = stats_field.name
+            peak = name == "max_concurrent_groups"
             registry.register(
-                "%s.stats.%s" % (prefix, field_name),
-                lambda f=field_name: getattr(stats, f),
-                kind="counter", unit="events",
-                description="ProfileMeStats.%s" % field_name)
+                "%s.stats.%s" % (prefix, name),
+                lambda f=name: getattr(stats, f),
+                kind="gauge" if peak else "counter",
+                unit="groups" if peak else "events",
+                description="ProfileMeStats.%s" % name)
         registry.register(prefix + ".stats.useful_fraction",
                           lambda: stats.useful_fraction,
                           kind="fraction", unit="ratio",

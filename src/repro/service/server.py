@@ -48,12 +48,12 @@ from dataclasses import dataclass
 
 from repro.analysis.database import AGGREGATED_EVENTS, ProfileDatabase
 from repro.analysis.persistence import database_from_dict, save_database
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import AnalysisError, ProtocolError, ServiceError
 from repro.events import Event
 from repro.service.protocol import (MAX_FRAME_BYTES, WIRE_VERSION,
                                     error_frame, ok_frame, read_frame,
                                     write_frame)
-from repro.service.workers import make_workers
+from repro.service.workers import ProcessShardWorker
 
 
 @dataclass
@@ -96,30 +96,28 @@ class ProfileServer:
         *fold_delay*: artificial per-batch folding cost in seconds — the
         overload knob the backpressure and fault-injection tests turn to
         make producers outrun the folder deterministically.
-        *rollup_interval*/*retain_buckets*: per-shard time-bucketed
-        rollup and bounded retention (see
-        :class:`~repro.analysis.database.ProfileDatabase`); evictions
-        are accounted per shard and reported on every stats query.
+        *keep_addresses*/*rollup_interval*/*retain_buckets*: the shard
+        database settings (see
+        :class:`~repro.analysis.database.ProfileDatabase`): every shard
+        worker starts from an empty database built with them.
+        Evictions are accounted per shard and reported on every stats
+        query.
         """
         if shards < 1:
             raise ServiceError("shards must be >= 1, got %d" % shards)
         if queue_size < 1:
             raise ServiceError("queue_size must be >= 1, got %d" % queue_size)
-        if rollup_interval < 0:
-            raise ServiceError("rollup_interval must be >= 0, got %d"
-                               % rollup_interval)
-        if retain_buckets < 0:
-            raise ServiceError("retain_buckets must be >= 0, got %d"
-                               % retain_buckets)
-        if retain_buckets and not rollup_interval:
-            raise ServiceError("retain_buckets requires --rollup-interval")
+        try:
+            self.seed_database = ProfileDatabase(
+                keep_addresses=keep_addresses,
+                rollup_interval=rollup_interval,
+                retain_buckets=retain_buckets)
+        except AnalysisError as exc:
+            raise ServiceError(str(exc)) from exc
         self.host = host
         self.port = port
         self.shard_count = shards
         self.queue_size = queue_size
-        self.keep_addresses = keep_addresses
-        self.rollup_interval = rollup_interval
-        self.retain_buckets = retain_buckets
         self.snapshot_path = snapshot_path
         self.snapshot_interval = snapshot_interval
         self.max_frame_bytes = max_frame_bytes
@@ -227,11 +225,11 @@ class ProfileServer:
     async def start(self):
         """Bind, spawn the shard workers, start accepting."""
         loop = asyncio.get_event_loop()
-        self.workers = make_workers(
-            self.shard_count, keep_addresses=self.keep_addresses,
-            queue_size=self.queue_size, fold_delay=self.fold_delay,
-            loop=loop, rollup_interval=self.rollup_interval,
-            retain_buckets=self.retain_buckets)
+        self.workers = [
+            ProcessShardWorker(index, self.seed_database,
+                               queue_size=self.queue_size,
+                               fold_delay=self.fold_delay, loop=loop)
+            for index in range(self.shard_count)]
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -274,8 +272,9 @@ class ProfileServer:
         self._refresh_stats()
         # The merged view aligns shard buckets on (level, start); it
         # never re-evicts (the shards already enforced retention).
-        merged = ProfileDatabase(keep_addresses=self.keep_addresses,
-                                 rollup_interval=self.rollup_interval)
+        seed = self.seed_database
+        merged = ProfileDatabase(keep_addresses=seed.keep_addresses,
+                                 rollup_interval=seed.rollup_interval)
         for database in databases:
             merged.merge(database)
         return merged, databases
@@ -465,8 +464,8 @@ class ProfileServer:
             epochs = epochs[-limit:]  # the newest buckets matter most
         return ok_frame(
             epochs=epochs,
-            rollup_interval=self.rollup_interval,
-            retain_buckets=self.retain_buckets,
+            rollup_interval=self.seed_database.rollup_interval,
+            retain_buckets=self.seed_database.retain_buckets,
             total_samples=merged.total_samples,
             evicted_samples=merged.evicted_samples,
             shard_evicted=[database.evicted_samples

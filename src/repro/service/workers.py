@@ -24,6 +24,11 @@ Topology (one per shard)::
   state — counters plus its pickled shard database — and doubles as the
   **checkpoint** for crash recovery.
 
+* **Seeding.**  A worker process always starts from a checkpoint.  The
+  first one is the server's empty database (which carries the shard's
+  address and rollup settings) with zeroed counters, so a worker
+  restarted before its first snap comes back with the same settings.
+
 * **Crash recovery without double-counting.**  The parent keeps, per
   worker, the last checkpoint and a backlog of commands enqueued since
   it.  When the reader thread sees the pipe close (worker killed, OOM,
@@ -63,6 +68,12 @@ def _fresh_counters():
     return {name: 0 for name in _COUNTER_NAMES}
 
 
+def _checkpoint_blob(database, counters):
+    """The pickled ``(database, counters)`` a worker starts from."""
+    return pickle.dumps((database, dict(counters)),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _apply_fold_command(folder, counters, command, fold_delay):
     """Execute one fold command in the worker process."""
     if fold_delay:
@@ -81,24 +92,16 @@ def _apply_fold_command(folder, counters, command, fold_delay):
         raise ProtocolError("unknown worker command %r" % (op,))
 
 
-def _worker_main(command_queue, result_conn, keep_addresses, fold_delay,
-                 seed_blob, rollup_interval=0, retain_buckets=0):
+def _worker_main(command_queue, result_conn, fold_delay, seed_blob):
     """Worker process entry point: fold until told to stop."""
-    folder = ShardFolder(keep_addresses=keep_addresses,
-                         rollup_interval=rollup_interval,
-                         retain_buckets=retain_buckets)
-    counters = _fresh_counters()
-    if seed_blob is not None:
-        database, counters = pickle.loads(seed_blob)
-        folder.database = database
+    folder = ShardFolder()
+    folder.database, counters = pickle.loads(seed_blob)
     processed = 0
     while True:
         command = command_queue.get()
         op = command[0]
         if op == "snap":
-            database = folder.snapshot_database()
-            blob = pickle.dumps((database, dict(counters)),
-                                protocol=pickle.HIGHEST_PROTOCOL)
+            blob = _checkpoint_blob(folder.snapshot_database(), counters)
             result_conn.send(("snap", command[1], dict(counters),
                               processed, blob))
             continue
@@ -118,17 +121,17 @@ def _worker_main(command_queue, result_conn, keep_addresses, fold_delay,
 
 
 class ProcessShardWorker:
-    """Parent-side handle for one shard's worker process."""
+    """Parent-side handle for one shard's worker process.
 
-    def __init__(self, index, keep_addresses=0, queue_size=64,
-                 fold_delay=0.0, loop=None, rollup_interval=0,
-                 retain_buckets=0):
+    *database* is the empty shard database the worker starts from; its
+    settings (address retention, rollup) are the shard's.
+    """
+
+    def __init__(self, index, database, queue_size=64, fold_delay=0.0,
+                 loop=None):
         self.index = index
-        self.keep_addresses = keep_addresses
         self.queue_size = queue_size
         self.fold_delay = fold_delay
-        self.rollup_interval = rollup_interval
-        self.retain_buckets = retain_buckets
         self.loop = loop or asyncio.get_event_loop()
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
@@ -145,7 +148,8 @@ class ProcessShardWorker:
         self.total_samples = 0  # last known shard sample count
         self.evicted_samples = 0  # last known shard eviction count
         self.bucket_count = 0  # last known live rollup buckets
-        self._checkpoint = None  # pickled (database, counters) or None
+        # pickled (database, counters): the seed, then the last snap
+        self._checkpoint = _checkpoint_blob(database, _fresh_counters())
         self._seq = 0  # record-bearing commands enqueued this process
         self._backlog = []  # [(seq, batches, records)] since checkpoint
         self._pending = {}  # snap token -> Future
@@ -154,19 +158,19 @@ class ProcessShardWorker:
         self.process = None
         self._queue = None
         self._conn = None
-        self._spawn(seed_blob=None)
+        self._spawn()
 
     # ------------------------------------------------------------------
     # Process lifecycle.
 
-    def _spawn(self, seed_blob):
+    def _spawn(self):
+        """Start a worker process from the last checkpoint."""
         self._queue = self._ctx.Queue(maxsize=self.queue_size)
         self._conn, child_conn = self._ctx.Pipe(duplex=False)
         self.process = self._ctx.Process(
             target=_worker_main,
-            args=(self._queue, child_conn, self.keep_addresses,
-                  self.fold_delay, seed_blob, self.rollup_interval,
-                  self.retain_buckets),
+            args=(self._queue, child_conn, self.fold_delay,
+                  self._checkpoint),
             daemon=True)
         self.process.start()
         child_conn.close()
@@ -219,11 +223,7 @@ class ProcessShardWorker:
                     "checkpoint" % self.index))
         self._pending.clear()
         self.restarts += 1
-        if self._checkpoint is not None:
-            _db, counters = pickle.loads(self._checkpoint)
-            self.counters = dict(counters)
-        else:
-            self.counters = _fresh_counters()
+        _db, self.counters = pickle.loads(self._checkpoint)
         try:
             self.process.join(timeout=1.0)
         except (OSError, AssertionError):
@@ -232,7 +232,7 @@ class ProcessShardWorker:
             # some start methods); no fold state rides on it, but count
             # it so a worker that repeatedly fails to reap is visible.
             self.join_errors += 1
-        self._spawn(seed_blob=self._checkpoint)
+        self._spawn()
 
     def _drop_backlog(self):
         """Account every command enqueued since the last checkpoint as
@@ -337,15 +337,6 @@ class ProcessShardWorker:
             return self._queue.qsize()
         except (NotImplementedError, OSError):
             return -1
-
-
-def make_workers(count, keep_addresses=0, queue_size=64, fold_delay=0.0,
-                 loop=None, rollup_interval=0, retain_buckets=0):
-    return [ProcessShardWorker(index, keep_addresses=keep_addresses,
-                               queue_size=queue_size, fold_delay=fold_delay,
-                               loop=loop, rollup_interval=rollup_interval,
-                               retain_buckets=retain_buckets)
-            for index in range(count)]
 
 
 def worker_pid(worker):

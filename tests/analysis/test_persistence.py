@@ -15,6 +15,7 @@ from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
 
 from tests.analysis.test_database import make_record
+from tests.analysis.test_rollup import tick_record
 from tests.conftest import counting_loop
 
 
@@ -205,6 +206,31 @@ class TestFailurePaths:
             data["total_samples"] = value
             with pytest.raises(PersistenceError, match="total_samples"):
                 database_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", (
+        ("rollup_interval", "100"), ("evicted_samples", 2.9),
+        ("retain_buckets", True), ("rollup_interval", 0)))
+    def test_bucketed_settings_are_checked_not_coerced(self, field, value):
+        data = self._bucketed()
+        data[field] = value
+        with pytest.raises(PersistenceError, match=field):
+            database_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", (
+        ("level", 0.0), ("level", -1), ("start", "0"), ("start", 2 ** 70),
+        ("span", True), ("span", -100)))
+    def test_bucket_bounds_are_checked_not_coerced(self, field, value):
+        data = self._bucketed()
+        data["buckets"][0][field] = value
+        with pytest.raises(PersistenceError, match="bucket %s" % field):
+            database_from_dict(data)
+
+    def test_bucket_before_tick_zero_round_trips(self):
+        db = ProfileDatabase(rollup_interval=100)
+        db.add(tick_record(-5))
+        data = database_to_dict(db)
+        assert [bucket["start"] for bucket in data["buckets"]] == [-100]
+        assert database_to_dict(database_from_dict(data)) == data
 
     @pytest.mark.parametrize("value", ("many", 2 ** 70, -1, 1.5, None,
                                        True))

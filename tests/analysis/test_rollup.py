@@ -57,6 +57,26 @@ class TestBucketRouting:
         assert db.epoch_summaries() == []
         assert db.bucket_count == 0
 
+    @pytest.mark.parametrize("tick", (-5, -10 ** 6, 2 ** 70))
+    def test_flat_database_takes_any_tick(self, tick):
+        # A flat database is one bucket that covers every tick: a
+        # negative or huge fetch cycle never reaches bucket routing.
+        db = ProfileDatabase()
+        reference = ProfileDatabase()
+        db.add(tick_record(tick))
+        db.add(tick_record(0))
+        db.fold_signature(0x10, 3, int(Event.RETIRED), ((0, 2),),
+                          tick=tick)
+        for _ in range(2):
+            reference.add(tick_record(0))
+        reference.fold_signature(0x10, 3, int(Event.RETIRED), ((0, 2),))
+        assert db.total_samples == 5
+        assert db.samples_at(0x10) == 5
+        assert db.bucket_count == 0
+        assert db.epoch_summaries() == []
+        assert canonical_json(database_to_dict(db)) == \
+            canonical_json(database_to_dict(reference))
+
     def test_straggler_folds_into_covering_bucket(self):
         db = ProfileDatabase(rollup_interval=100)
         db.add(tick_record(50))

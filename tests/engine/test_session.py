@@ -12,6 +12,7 @@ from repro.engine.session import (
 )
 from repro.errors import ConfigError
 from repro.profileme.unit import ProfileMeConfig
+from repro.workloads import classic_kernel
 
 from tests.conftest import counting_loop
 
@@ -142,6 +143,31 @@ class TestRunSession:
             ctx.database.total_samples for ctx in result.multi.contexts)
         contexts_seen = {pc >> 32 for pc in result.database.pcs()}
         assert contexts_seen == {0, 1}
+
+    def test_multiprog_session_keeps_sink_settings(self):
+        chase = classic_kernel("pointer_chase", nodes=32, hops=200)[0]
+        result = run_session(_spec(core_kind="multiprog", program=None,
+                                   programs=(chase, chase),
+                                   keep_records=False, keep_addresses=4))
+        database = result.database
+        assert database.keep_addresses == 4
+        assert all(ctx.database.keep_addresses == 4
+                   and ctx.driver.retained == 0
+                   for ctx in result.multi.contexts)
+        # The merged view carries each context's addresses under its
+        # re-keyed PC.
+        for ctx in result.multi.contexts:
+            for pc, profile in ctx.database.per_pc.items():
+                merged = database.profile((ctx.context << 32) | pc)
+                assert merged.addresses == profile.addresses
+        assert any(profile.addresses
+                   for profile in database.per_pc.values())
+
+    def test_multiprog_session_rejects_rollup(self):
+        two = (counting_loop(iterations=40), counting_loop(iterations=40))
+        with pytest.raises(ConfigError, match="multiprog"):
+            _spec(core_kind="multiprog", program=None, programs=two,
+                  rollup_interval=100, retain_buckets=2)
 
     def test_session_without_profile_runs_bare(self):
         result = run_session(_spec(profile=None))

@@ -15,11 +15,13 @@ Plus the shedding path (bounded queue overflow) surfacing through the
 ``service.worker<N>.*`` probe namespace.
 """
 
+import dataclasses
 import json
 import socket
 
 import pytest
 
+from repro.analysis.database import ProfileDatabase
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import ProfileRecord
@@ -158,6 +160,37 @@ class TestCrashRecovery:
             assert values["service.worker0.records"] == 3
         finally:
             conn.close()
+
+
+class TestSeededRestart:
+    def test_restart_before_first_snap_keeps_shard_settings(self):
+        # A worker killed before it ever checkpointed restarts from the
+        # server's seed database, so it keeps the shard's address
+        # retention and rollup: its export matches an in-process fold.
+        records = [dataclasses.replace(record, addr=0x1000 + 8 * i)
+                   for i, record in enumerate(make_records(40))]
+        with ServerThread(port=0, shards=1, keep_addresses=2,
+                          rollup_interval=100) as thread:
+            server = thread.server
+            conn = SyncConnection(server)
+            try:
+                conn.push_sync(make_records(4))
+                kill_worker(server.workers[0])
+                stats = conn.query("stats")["stats"]
+                assert stats["worker_restarts"] == 1
+                assert stats["dropped_records"] == 4
+                conn.push_sync(records)
+                export = conn.query("export")["database"]
+            finally:
+                conn.close()
+        reference = ProfileDatabase(keep_addresses=2, rollup_interval=100)
+        for record in records:
+            reference.add(record)
+        assert export["version"] == 2
+        assert export["keep_addresses"] == 2
+        assert export["addresses"]
+        assert len(export["buckets"]) > 1
+        assert canonical_json(export) == canonical_json(reference.to_dict())
 
 
 class TestQueueShedding:

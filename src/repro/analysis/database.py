@@ -305,25 +305,33 @@ class _ColumnStore:
                 total_col[row] += value
                 sq_col[row] += value * value
 
-    def fold(self, pc, count, key, latencies):
-        """Fold *count* identical samples: events bit-field *key*,
-        *latencies* as ``((column, value), ...)``."""
-        row = self.index.get(pc)
-        if row is None:
-            row = self._new_row(pc)
-        self.samples[row] += count
-        self.total += count
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plan(key)
-        for column in plan:
-            column[row] += count
+    def fold_counts(self, counts, signatures):
+        """Fold counted identical samples; returns how many (see
+        :meth:`ProfileDatabase.fold_signatures`)."""
+        index = self.index
+        samples = self.samples
+        event_plans = self._plans
         lat_cols = self._lat_cols
-        for lat_column, value in latencies:
-            count_col, total_col, sq_col = lat_cols[lat_column]
-            count_col[row] += count
-            total_col[row] += count * value
-            sq_col[row] += count * value * value
+        folded = 0
+        for (pc, signature), count in counts.items():
+            events, latencies = signatures[signature]
+            row = index.get(pc)
+            if row is None:
+                row = self._new_row(pc)
+            samples[row] += count
+            folded += count
+            plan = event_plans.get(events)
+            if plan is None:
+                plan = self._plan(events)
+            for column in plan:
+                column[row] += count
+            for lat_column, value in latencies:
+                count_col, total_col, sq_col = lat_cols[lat_column]
+                count_col[row] += count
+                total_col[row] += count * value
+                sq_col[row] += count * value * value
+        self.total += folded
+        return folded
 
     def set_profile(self, pc, profile):
         """Replace *pc*'s row with the contents of a :class:`PcProfile`."""
@@ -606,18 +614,24 @@ class ProfileDatabase:
                     (record.addr, bool(record.events & Event.DCACHE_MISS),
                      bool(record.events & Event.DTB_MISS)))
 
-    def fold_signature(self, pc, count, events_key, latencies, tick=0):
-        """Fold *count* identical samples straight into the columns.
+    def fold_signatures(self, counts, signatures, tick=0):
+        """Fold counted identical samples that share one rollup bucket.
 
-        The service's signature-memoized fast path
-        (:class:`repro.service.fold.ShardFolder`) resolves each distinct
-        wire signature once and lands repeats here: *events_key* is the
-        raw events bit-field, *latencies* is ``((column_index, value),
-        ...)`` over :data:`~repro.profileme.registers.LATENCY_FIELDS`,
-        *tick* routes the fold to a rollup bucket.
+        The service's shard fold (:class:`repro.service.fold.ShardFolder`)
+        counts each payload's records by ``(pc, signature)`` and lands
+        every run of records that share a bucket here in one call:
+        *counts* maps ``(pc, signature)`` to a sample count, and
+        *signatures* maps each signature to ``(events bit-field,
+        ((latency column, value), ...))`` over
+        :data:`~repro.profileme.registers.LATENCY_FIELDS`.  *tick*
+        routes the whole run, so bucket creation, rollup and eviction
+        happen once, as they would for its first record.  ``count``
+        identical samples cost one multiply per column, and the integer
+        arithmetic makes the result equal to ``count`` ``add_record``
+        calls.
         """
-        self._store_for(tick).fold(pc, count, events_key, latencies)
-        self.total_samples += count
+        store = self._store_for(tick)  # may evict: route before adding
+        self.total_samples += store.fold_counts(counts, signatures)
         self._generation += 1
 
     def add_probe_readings(self, readings, tick):

@@ -292,10 +292,21 @@ class SessionSpec:
                               % (self.retain_buckets,))
         if self.retain_buckets and not self.rollup_interval:
             raise ConfigError("retain_buckets requires rollup_interval")
-        if self.rollup_interval and self.core_kind == "multiprog":
-            raise ConfigError("multiprog sessions cannot roll up: the "
-                              "merged view re-keys PCs and has no time "
-                              "axis")
+        if self.core_kind == "multiprog":
+            if self.rollup_interval:
+                raise ConfigError("multiprog sessions cannot roll up: the "
+                                  "merged view re-keys PCs and has no "
+                                  "time axis")
+            ignored = [name for name, used in (
+                ("max_retired", self.max_retired is not None),
+                ("collect_truth", self.collect_truth),
+                ("probe_stream", bool(self.probe_stream)),
+                ("counter", self.counter is not None)) if used]
+            if ignored:
+                raise ConfigError("multiprog sessions do not support %s: "
+                                  "the scheduler runs every context to "
+                                  "completion with ProfileMe only"
+                                  % ", ".join(ignored))
 
     def sink_options(self):
         """The :func:`profile_sinks` options this spec selects."""

@@ -76,9 +76,10 @@ record is::
 The length prefix lets a decoder skip a record in O(1), and the
 signature — the suffix that excludes the per-sample timestamps — is a
 stable byte string for "same static instruction, same event/latency
-outcome", which the server's fold fast path counts by ``(pc,
-signature)`` instead of re-aggregating field by field (see
-:mod:`repro.service.fold`).
+outcome".  The server's shard fold reads only each record's header and
+counts every record — single, pair member or group member — by
+``(rollup bucket, pc, signature)`` instead of decoding it to an object
+and aggregating it field by field (see :mod:`repro.service.fold`).
 
 A paired record is ``first record, byte second-present, [second
 record], byte presence (bit 0: intra_pair_cycles, bit 1:
@@ -449,6 +450,156 @@ def decode_push_payload(payload):
         raise ProtocolError("push payload has %d trailing bytes"
                             % (len(payload) - offset,))
     return samples
+
+
+# ----------------------------------------------------------------------
+# Header scan: what the shard fold reads instead of decoding samples.
+
+
+def decode_signature(signature):
+    """Validate + decode one signature span to fold-ready form.
+
+    Returns ``(events bit-field, ((latency column, value), ...))``, the
+    form :meth:`~repro.analysis.database.ProfileDatabase.fold_signatures`
+    resolves signatures to (context, history and addr are checked and
+    skipped: the profile database does not aggregate them).
+    Raises :class:`ProtocolError` on any malformation — unknown
+    ordinals, truncation, or trailing bytes.
+    """
+    if len(signature) < 3:
+        raise ProtocolError("truncated record header")
+    if signature[0] > len(_OPCODES):
+        raise ProtocolError("unknown opcode ordinal %d" % (signature[0],))
+    if signature[1] >= len(_ABORTS):
+        raise ProtocolError("unknown abort-reason ordinal %d"
+                            % (signature[1],))
+    presence = signature[2]
+    events, offset = _uv_decode(signature, 3)
+    _, offset = _uv_decode(signature, offset)  # context
+    _, offset = _uv_decode(signature, offset)  # history
+    if presence & 0x01:
+        _, offset = _sv_decode(signature, offset)  # addr
+    latencies = []
+    for column in range(len(LATENCY_FIELDS)):
+        if presence & (1 << (column + 1)):
+            value, offset = _uv_decode(signature, offset)
+            latencies.append((column, value))
+    if offset != len(signature):
+        raise ProtocolError("record length mismatch: %d bytes left over"
+                            % (len(signature) - offset,))
+    return events, tuple(latencies)
+
+
+def _scan_member(data, offset, state, limit):
+    """Read one record's header; returns ``(pc, tick, signature, end)``.
+
+    *state* is the batch's ``[pc, fetch_cycle]`` delta chain, advanced
+    in place; *limit* is the payload length.  The header varints are
+    inlined for their single-byte case (steady-state streams delta-code
+    to one byte); multi-byte values take the full decoder.  A header
+    that overruns the record leaves an empty signature, which
+    :func:`decode_signature` refuses.
+    """
+    try:
+        byte = data[offset]
+        if byte < 0x80:
+            offset += 1
+            end = offset + byte
+        else:
+            length, offset = _uv_decode(data, offset)
+            end = offset + length
+        if end > limit:
+            raise ProtocolError("truncated record (claims %d bytes past the "
+                                "frame end)" % (end - limit,))
+        byte = data[offset]
+        if byte < 0x80:
+            pc = state[0] + ((byte >> 1) ^ -(byte & 1))
+            offset += 1
+        else:
+            delta, offset = _sv_decode(data, offset)
+            pc = state[0] + delta
+        byte = data[offset]
+        if byte < 0x80:
+            tick = state[1] + ((byte >> 1) ^ -(byte & 1))
+            offset += 1
+        else:
+            delta, offset = _sv_decode(data, offset)
+            tick = state[1] + delta
+        if data[offset] < 0x80:  # done-cycle delta, unused
+            offset += 1
+        else:
+            _, offset = _sv_decode(data, offset)
+    except IndexError:
+        raise ProtocolError("truncated varint (frame ends mid-value)") \
+            from None
+    state[0] = pc
+    state[1] = tick
+    return pc, tick, data[offset:end], end
+
+
+def scan_push_payload(payload):
+    """Every record of a push payload, in wire order, as
+    ``(pc, tick, signature, end)`` — pair and group members included.
+
+    Parses and validates the sample framing (tags, the pair trailer,
+    the group's present bytes, fetch offsets and distances) without
+    building sample objects; signatures are validated by the caller.
+    """
+    scan, sv_decode = _scan_member, _sv_decode
+    members = []
+    append = members.append
+    count, offset = _uv_decode(payload, 0)
+    state = [0, 0]
+    limit = len(payload)
+    try:
+        for _ in range(count):
+            tag = payload[offset]
+            if tag == _TAG_RECORD:
+                member = scan(payload, offset + 1, state, limit)
+                append(member)
+                offset = member[3]
+            elif tag == _TAG_PAIR:
+                member = scan(payload, offset + 1, state, limit)
+                append(member)
+                offset = member[3]
+                if payload[offset]:  # second member present
+                    member = scan(payload, offset + 1, state, limit)
+                    append(member)
+                    offset = member[3]
+                else:
+                    offset += 1
+                presence = payload[offset]
+                offset += 1
+                if presence & 0x01:
+                    _, offset = sv_decode(payload, offset)  # cycles
+                if presence & 0x02:
+                    _, offset = sv_decode(payload, offset)  # distance
+            elif tag == _TAG_GROUP:
+                size, offset = _uv_decode(payload, offset + 1)
+                for _ in range(size):
+                    present = payload[offset]
+                    offset += 1
+                    if present:
+                        member = scan(payload, offset, state, limit)
+                        append(member)
+                        offset = member[3]
+                for _ in range(size):
+                    present = payload[offset]
+                    offset += 1
+                    if present:
+                        _, offset = sv_decode(payload, offset)  # fetch offset
+                distances, offset = _uv_decode(payload, offset)
+                for _ in range(distances):
+                    _, offset = sv_decode(payload, offset)
+            else:
+                raise ProtocolError("unknown sample tag %d" % (tag,))
+    except IndexError:
+        raise ProtocolError("truncated batch (frame ends inside a "
+                            "sample)") from None
+    if offset != limit:
+        raise ProtocolError("push payload has %d trailing bytes"
+                            % (limit - offset,))
+    return members
 
 
 def encode_probe_payload(readings, tick):

@@ -65,11 +65,12 @@ class TestBucketRouting:
         reference = ProfileDatabase()
         db.add(tick_record(tick))
         db.add(tick_record(0))
-        db.fold_signature(0x10, 3, int(Event.RETIRED), ((0, 2),),
-                          tick=tick)
+        counts = {(0x10, b"sig"): 3}
+        signatures = {b"sig": (int(Event.RETIRED), ((0, 2),))}
+        db.fold_signatures(counts, signatures, tick=tick)
         for _ in range(2):
             reference.add(tick_record(0))
-        reference.fold_signature(0x10, 3, int(Event.RETIRED), ((0, 2),))
+        reference.fold_signatures(counts, signatures)
         assert db.total_samples == 5
         assert db.samples_at(0x10) == 5
         assert db.bucket_count == 0

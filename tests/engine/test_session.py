@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.counters.counter import CounterConfig, CounterEvent
 from repro.engine.session import (
     SessionSpec,
     build_core,
@@ -168,6 +169,16 @@ class TestRunSession:
         with pytest.raises(ConfigError, match="multiprog"):
             _spec(core_kind="multiprog", program=None, programs=two,
                   rollup_interval=100, retain_buckets=2)
+
+    @pytest.mark.parametrize("field, value", (
+        ("max_retired", 100), ("collect_truth", True), ("probe_stream", 50),
+        ("counter", CounterConfig(event=CounterEvent.RETIRED_INST,
+                                 period=100))))
+    def test_multiprog_session_rejects_what_it_ignores(self, field, value):
+        two = (counting_loop(iterations=40), counting_loop(iterations=40))
+        with pytest.raises(ConfigError, match=field):
+            _spec(core_kind="multiprog", program=None, programs=two,
+                  **{field: value})
 
     def test_session_without_profile_runs_bare(self):
         result = run_session(_spec(profile=None))

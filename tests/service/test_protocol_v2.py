@@ -15,9 +15,11 @@ exact and safe.  Three obligations, each tested here:
   exception, never a silently wrong decode.  A live server fed garbage
   must keep serving other connections and account every refused frame.
 
-* **Fused fold differential**: the signature-memoized fold in
+* **Fused fold differential**: the signature-counting fold in
   :mod:`repro.service.fold` must produce byte-identical canonical
-  exports to record-by-record aggregation, for any stream.
+  exports to record-by-record aggregation, for any stream, flat or
+  rolled up, with or without retention, and a malformed payload must
+  leave the database as it was.
 """
 
 import json
@@ -79,31 +81,65 @@ _records = st.builds(
 )
 
 
-@st.composite
-def _groups(draw):
-    records = draw(st.lists(st.one_of(st.none(), _records),
-                            min_size=1, max_size=4))
-    offsets = draw(st.lists(
-        st.one_of(st.none(), st.integers(min_value=-1000, max_value=1000)),
-        min_size=len(records), max_size=len(records)))
-    distances = draw(st.lists(st.integers(min_value=0, max_value=500),
-                              max_size=3))
-    return GroupRecord(records=tuple(records), fetch_offsets=tuple(offsets),
-                       distances=tuple(distances))
+# Records for the fold differential: few pcs and signature values, so
+# counts really multiply, and fetch cycles across a few 64-cycle
+# buckets, so members change bucket and stragglers arrive behind the
+# current one.  Full-range records are mixed in.
+_fold_latency = st.sampled_from((None, 0, 3, 1 << 20))
+
+_fold_records = st.one_of(_records, st.builds(
+    ProfileRecord,
+    context=st.integers(min_value=0, max_value=1),
+    pc=st.sampled_from((0x40, 0x44, 0x48, _U64)),
+    op=st.sampled_from((None, Opcode.ADD, Opcode.SUB)),
+    addr=st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+    events=st.sampled_from((Event.RETIRED,
+                            Event.RETIRED | Event.DCACHE_MISS,
+                            Event.ABORTED | Event.BAD_PATH)),
+    abort_reason=st.sampled_from(list(AbortReason)[:2]),
+    history=st.integers(min_value=0, max_value=1),
+    fetch_to_map=_fold_latency,
+    map_to_data_ready=_fold_latency,
+    data_ready_to_issue=_fold_latency,
+    issue_to_retire_ready=_fold_latency,
+    retire_ready_to_retire=_fold_latency,
+    load_issue_to_completion=_fold_latency,
+    fetch_cycle=st.integers(min_value=0, max_value=300),
+    done_cycle=st.integers(min_value=0, max_value=400),
+))
 
 
-_samples = st.one_of(
-    _records,
-    st.builds(PairedRecord, first=_records,
-              second=st.one_of(st.none(), _records),
-              intra_pair_cycles=st.one_of(
-                  st.none(), st.integers(min_value=0, max_value=10_000)),
-              intra_pair_distance=st.one_of(
-                  st.none(), st.integers(min_value=0, max_value=1000))),
-    _groups(),
-)
+def _samples_of(records):
+    """Single, paired and N-way samples built from *records*."""
 
-_batches = st.lists(_samples, max_size=12)
+    @st.composite
+    def groups(draw):
+        members = draw(st.lists(st.one_of(st.none(), records),
+                                min_size=1, max_size=4))
+        offsets = draw(st.lists(
+            st.one_of(st.none(),
+                      st.integers(min_value=-1000, max_value=1000)),
+            min_size=len(members), max_size=len(members)))
+        distances = draw(st.lists(st.integers(min_value=0, max_value=500),
+                                  max_size=3))
+        return GroupRecord(records=tuple(members),
+                           fetch_offsets=tuple(offsets),
+                           distances=tuple(distances))
+
+    return st.one_of(
+        records,
+        st.builds(PairedRecord, first=records,
+                  second=st.one_of(st.none(), records),
+                  intra_pair_cycles=st.one_of(
+                      st.none(), st.integers(min_value=0, max_value=10_000)),
+                  intra_pair_distance=st.one_of(
+                      st.none(), st.integers(min_value=0, max_value=1000))),
+        groups(),
+    )
+
+
+_batches = st.lists(_samples_of(_records), max_size=12)
+_fold_batches = st.lists(_samples_of(_fold_records), max_size=12)
 
 
 def _rec(**overrides):
@@ -486,26 +522,116 @@ class TestServerSurvivesGarbage:
 # Fused-fold differential: the perf path must be invisible in results.
 
 
+# (rollup_interval, retain_buckets): flat, rolled up, and rolled up with
+# one or two retained buckets, so retention evicts within a payload.
+_FOLD_SETTINGS = ((0, 0), (64, 0), (64, 1), (64, 2))
+
+
+def _export(database):
+    return canonical_json(database_to_dict(database))
+
+
+def _member(out, record, state):
+    """Append one record as :func:`protocol._encode_single_v2` does;
+    returns the offset of its opcode byte."""
+    header = bytearray()
+    _sv_encode(header, record.pc - state[0])
+    _sv_encode(header, record.fetch_cycle - state[1])
+    _sv_encode(header, record.done_cycle - record.fetch_cycle)
+    start = len(out)
+    protocol._encode_single_v2(out, record, state)
+    assert out[start] < 0x80  # one-byte length prefix
+    return start + 1 + len(header)
+
+
+def _pair_and_group_payload():
+    """A payload holding a record, a pair and a 2-way group, byte by
+    byte, with the spans the atomicity cases cut into."""
+    pair = PairedRecord(first=_rec(pc=0x44, fetch_cycle=110),
+                        second=_rec(pc=0x48, fetch_cycle=130),
+                        intra_pair_cycles=10_000, intra_pair_distance=300)
+    group = GroupRecord(records=(_rec(pc=0x4C, fetch_cycle=150),
+                                 _rec(pc=0x50, fetch_cycle=190)),
+                        fetch_offsets=(0, 5000), distances=(4000, 4000))
+    samples = [_rec(pc=0x40), pair, group]
+    out = bytearray()
+    spans = {}
+    state = [0, 0]
+    _uv_encode(out, len(samples))
+    out.append(0)
+    _member(out, samples[0], state)
+    out.append(1)
+    _member(out, pair.first, state)
+    out.append(1)
+    start = len(out)
+    spans["second_op"] = _member(out, pair.second, state)
+    spans["pair_second"] = (start, len(out))
+    out.append(0x03)
+    start = len(out)
+    _sv_encode(out, pair.intra_pair_cycles)
+    _sv_encode(out, pair.intra_pair_distance)
+    spans["pair_svarints"] = (start, len(out))
+    out.append(2)
+    _uv_encode(out, 2)
+    for record in group.records:
+        out.append(1)
+        _member(out, record, state)
+    start = len(out)
+    for value in group.fetch_offsets:
+        out.append(1)
+        _sv_encode(out, value)
+    spans["group_offsets"] = (start, len(out))
+    _uv_encode(out, len(group.distances))
+    start = len(out)
+    for value in group.distances:
+        _sv_encode(out, value)
+    spans["group_distances"] = (start, len(out))
+    assert bytes(out) == encode_push_payload(samples)
+    return bytes(out), spans
+
+
 class TestFoldDifferential:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(_batches, max_size=6), st.booleans())
-    def test_fused_fold_matches_record_by_record(self, payload_batches,
-                                                 interleave_flush):
+    @given(st.lists(_fold_batches, max_size=6))
+    def test_fused_fold_matches_record_by_record(self, payload_batches):
         from repro.analysis.database import ProfileDatabase
 
-        folder = ShardFolder()
-        reference = ProfileDatabase()
-        total = 0
-        for batch in payload_batches:
-            total += folder.fold_payload(encode_push_payload(batch))
-            if interleave_flush:
-                folder.flush()
-            for sample in batch:
-                reference.add(sample)
-        assert total == sum(_sample_count(b) for b in payload_batches)
-        fused = database_to_dict(folder.snapshot_database())
-        assert canonical_json(fused) == canonical_json(
-            database_to_dict(reference))
+        payloads = [encode_push_payload(batch) for batch in payload_batches]
+        for interval, retain in _FOLD_SETTINGS:
+            folder = ShardFolder(rollup_interval=interval,
+                                 retain_buckets=retain)
+            reference = ProfileDatabase(rollup_interval=interval,
+                                        retain_buckets=retain)
+            database = folder.database
+            for batch, payload in zip(payload_batches, payloads):
+                assert folder.fold_payload(payload) == _sample_count(batch)
+                for sample in batch:
+                    reference.add(sample)
+                # Committed when the fold returns: nothing is pending.
+                assert (database.total_samples, database.evicted_samples) \
+                    == (reference.total_samples, reference.evicted_samples)
+            assert _export(database) == _export(reference)
+
+    def test_straggler_under_retention_matches_record_by_record(self):
+        # One pc at ticks 50, 150, 50 with one retained bucket: tick 150
+        # evicts bucket 0, so the second tick-50 sample is a straggler
+        # older than the retained horizon, clamped into bucket 100.
+        from repro.analysis.database import ProfileDatabase
+
+        batch = [_rec(fetch_cycle=tick, done_cycle=tick + 10)
+                 for tick in (50, 150, 50)]
+        reference = ProfileDatabase(rollup_interval=100, retain_buckets=1)
+        for record in batch:
+            reference.add(record)
+        assert (reference.total_samples, reference.evicted_samples) == (2, 1)
+        for payloads in ([batch], [[record] for record in batch]):
+            folder = ShardFolder(rollup_interval=100, retain_buckets=1)
+            for samples in payloads:
+                folder.fold_payload(encode_push_payload(samples))
+            database = folder.snapshot_database()
+            assert (database.total_samples, database.evicted_samples) == \
+                (2, 1)
+            assert _export(database) == _export(reference)
 
     def test_corrupt_payload_leaves_folder_untouched(self):
         folder = ShardFolder()
@@ -521,6 +647,34 @@ class TestFoldDifferential:
         after = canonical_json(
             database_to_dict(folder.snapshot_database()))
         assert after == before
+
+    @pytest.mark.parametrize("span", ("pair_second", "pair_svarints",
+                                      "group_offsets", "group_distances"))
+    def test_truncated_pair_or_group_leaves_folder_untouched(self, span):
+        payload, spans = _pair_and_group_payload()
+        folder = ShardFolder(rollup_interval=64, retain_buckets=2)
+        assert folder.fold_payload(payload) == 5
+        before = _export(folder.database)
+        start, end = spans[span]
+        for cut in range(start, end):
+            with pytest.raises(ProtocolError):
+                decode_push_payload(payload[:cut])
+            with pytest.raises(ProtocolError):
+                folder.fold_payload(payload[:cut])
+            assert _export(folder.database) == before
+        assert folder.payloads_folded == 1
+
+    def test_unknown_opcode_in_pair_second_leaves_folder_untouched(self):
+        payload, spans = _pair_and_group_payload()
+        folder = ShardFolder()
+        folder.fold_payload(payload)
+        before = _export(folder.database)
+        corrupt = bytearray(payload)
+        corrupt[spans["second_op"]] = 0xFF
+        for fold in (decode_push_payload, folder.fold_payload):
+            with pytest.raises(ProtocolError, match="opcode"):
+                fold(bytes(corrupt))
+        assert _export(folder.database) == before
 
     def test_keep_addresses_disables_fast_path_but_not_results(self):
         batch = [_rec(pc=0x40, addr=0x1000 + i) for i in range(5)]

@@ -10,6 +10,7 @@ query, stats accounting, and the probe registry's per-shard gauges.
 import pytest
 
 from repro.analysis.database import ProfileDatabase
+from repro.analysis.persistence import canonical_json
 from repro.errors import ProtocolError, ServiceError
 from repro.service.client import ProfileClient
 from repro.service.server import ServerThread
@@ -104,6 +105,26 @@ class TestRetentionAccounting:
         assert probes["service.shard0.buckets"]["kind"] == "gauge"
         assert probes["service.shard0.buckets"]["value"] >= 1
         assert probes["service.shard0.evicted_samples"]["value"] > 0
+
+    def test_stragglers_under_retention_match_in_process_fold(self):
+        # Ticks that go back behind the retained horizon: the served fold
+        # must create, evict and clamp buckets in arrival order, as
+        # record-by-record aggregation does.
+        ticks = [50, 150, 50, 250, 120, 10, 260, 40]
+        with ServerThread(port=0, shards=1, rollup_interval=100,
+                          retain_buckets=2) as thread:
+            _push_stream(thread.address, ticks)
+            with ProfileClient(thread.address) as client:
+                served = client.query("export")["database"]
+        reference = ProfileDatabase(rollup_interval=100, retain_buckets=2)
+        for tick in ticks:
+            reference.add(tick_record(tick))
+        assert reference.evicted_samples > 0
+        # The query view merges the shards into a database that does not
+        # re-evict.
+        view = ProfileDatabase(rollup_interval=100)
+        view.merge(reference)
+        assert canonical_json(served) == canonical_json(view.to_dict())
 
     def test_retention_requires_interval(self):
         with pytest.raises(ServiceError):

@@ -131,14 +131,13 @@ class ProfileClient:
     # Resilient push path.
 
     def push(self, samples):
-        """Ship one batch of samples, fire-and-forget.
+        """Ship one batch (a sequence) of samples, fire-and-forget.
 
         The batch is encoded once and split into as many frames as the
         frame-size cap requires (almost always one).  Returns True if
         every frame went out on the socket, False if any was spilled (or
         lost with no spill file).
         """
-        samples = list(samples)
         if not samples:
             return True
         delivered = True

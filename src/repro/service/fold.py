@@ -52,9 +52,9 @@ arrival order, which multiplication cannot reproduce.
 from collections import Counter
 
 from repro.analysis.database import ProfileDatabase
-from repro.service.protocol import (_sample_count, decode_probe_payload,
-                                    decode_push_payload, decode_signature,
-                                    scan_push_payload)
+from repro.profileme.registers import sample_records
+from repro.service.protocol import (decode_probe_payload, decode_push_payload,
+                                    decode_signature, scan_push_payload)
 
 # Distinct signatures held in the decode memo.  Bounds memory under
 # adversarial streams where every record has a fresh signature; the
@@ -81,7 +81,13 @@ class ShardFolder:
         """Fold one v2 push payload; returns the record count folded."""
         database = self.database
         if database.keep_addresses:
-            return self.fold_samples(decode_push_payload(payload))
+            # Per-pc address retention: add records one by one.
+            records = [record for sample in decode_push_payload(payload)
+                       for record in sample_records(sample)]
+            for record in records:
+                database.add_record(record)
+            self.payloads_folded += 1
+            return len(records)
         members = scan_push_payload(payload)
         # Split the members into runs that share a rollup bucket.
         interval = database.rollup_interval
@@ -111,15 +117,6 @@ class ShardFolder:
             database.fold_signatures(counts, signatures, tick=start)
         self.payloads_folded += 1
         return len(members)
-
-    def fold_samples(self, samples):
-        """Fold decoded sample objects one by one (the address-retaining
-        path of :meth:`fold_payload`)."""
-        database = self.database
-        for sample in samples:
-            database.add(sample)
-        self.payloads_folded += 1
-        return _sample_count(samples)
 
     def fold_probe_payload(self, payload):
         """Fold one v2 probe_push payload."""

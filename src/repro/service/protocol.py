@@ -87,6 +87,11 @@ intra_pair_distance), [svarint cycles], [svarint distance]``.  A group
 record is ``uvarint n, n * (byte present + [record]), n * (byte present
 + [svarint fetch_offset]), uvarint d, d * svarint distance``.
 
+**Encoding** is one straight-line pass per record (:func:`_encode_record`
+reads fields directly and writes varints of up to three bytes inline).
+:func:`encode_push_payload` dispatches each sample once on its type and
+also returns the member count it walked: the frame's record count.
+
 **Payload encoding (probe_push)**: ``svarint tick, uvarint count``,
 then per reading ``uvarint name-length, name UTF-8, value`` where a
 value is one tag byte — 0 none, 1 int (svarint), 2 float (8-byte
@@ -134,8 +139,7 @@ from repro.errors import ProtocolError
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import (GroupRecord, LATENCY_FIELDS,
-                                       PairedRecord, ProfileRecord,
-                                       sample_records)
+                                       PairedRecord, ProfileRecord)
 
 WIRE_VERSION = 2  # binary push/probe_push data frames, JSON control
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -150,10 +154,13 @@ FLAG_SYNC = 0x01
 _V2_HEADER = struct.Struct(">BBBII")  # magic, type, flags, crc32, count
 
 # Wire ordinals for the two enums (definition order is the v2 format).
+# The encoder looks ordinals up by id(): a dict keyed by the members
+# would hash them through the Python-level Enum.__hash__.
 _OPCODES = tuple(Opcode)
-_OPCODE_INDEX = {op: i for i, op in enumerate(_OPCODES)}
+_OPCODE_WIRE = {id(op): i + 1 for i, op in enumerate(_OPCODES)}
+_OPCODE_WIRE[id(None)] = 0  # off-path: no opcode
 _ABORTS = tuple(AbortReason)
-_ABORT_INDEX = {reason: i for i, reason in enumerate(_ABORTS)}
+_ABORT_WIRE = {id(reason): i for i, reason in enumerate(_ABORTS)}
 
 _TAG_RECORD = 0
 _TAG_PAIR = 1
@@ -224,46 +231,70 @@ def _sv_decode(data, offset):
 # Record <-> wire (struct-packed, delta/varint).
 
 
-def _encode_single_v2(out, record, state):
-    """Append one record; *state* is the [prev_pc, prev_fetch] chain."""
-    body = bytearray()
-    try:
-        _sv_encode(body, record.pc - state[0])
-        state[0] = record.pc
-        fetch = record.fetch_cycle
-        _sv_encode(body, fetch - state[1])
-        state[1] = fetch
-        _sv_encode(body, record.done_cycle - fetch)
-        op = record.op
-        body.append(0 if op is None else _OPCODE_INDEX[op] + 1)
-        body.append(_ABORT_INDEX[record.abort_reason])
-        presence = 0
-        addr = record.addr
-        if addr is not None:
-            presence |= 0x01
-        latencies = []
-        for bit, name in enumerate(LATENCY_FIELDS):
-            value = getattr(record, name)
-            if value is not None:
-                presence |= 1 << (bit + 1)
-                latencies.append(value)
-        body.append(presence)
-        _uv_encode(body, int(record.events))
-        _uv_encode(body, record.context)
-        _uv_encode(body, record.history)
-        if addr is not None:
-            _sv_encode(body, addr)
-        for value in latencies:
-            _uv_encode(body, value)
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ProtocolError("record not encodable as wire v2: %s"
-                            % (exc,)) from exc
-    _uv_encode(out, len(body))
-    out += body
+def _encode_record(out, record, prev_pc, prev_fetch):
+    """Append one record after the batch's previous pc and fetch cycle;
+    returns its ``(pc, fetch_cycle)``.  Varints of up to three bytes are
+    written inline, longer ones by :func:`_uv_encode` (which refuses
+    negatives); the length prefix is patched in at the end."""
+    append = out.append
+    start = len(out)
+    append(0)  # length prefix
+    pc = record.pc
+    fetch = record.fetch_cycle
+    for value in (pc - prev_pc, fetch - prev_fetch, record.done_cycle - fetch):
+        value = value << 1 if value >= 0 else ~value << 1 | 1
+        if value < 0x80:
+            append(value)
+        elif value < 0x4000:
+            append(value & 0x7F | 0x80)
+            append(value >> 7)
+        else:
+            _uv_encode(out, value)
+    append(_OPCODE_WIRE[id(record.op)])
+    append(_ABORT_WIRE[id(record.abort_reason)])
+    addr = record.addr
+    lat0, lat1, lat2, lat3, lat4, lat5 = (
+        record.fetch_to_map, record.map_to_data_ready,
+        record.data_ready_to_issue, record.issue_to_retire_ready,
+        record.retire_ready_to_retire, record.load_issue_to_completion)
+    append((addr is not None) | (lat0 is not None) << 1
+           | (lat1 is not None) << 2 | (lat2 is not None) << 3
+           | (lat3 is not None) << 4 | (lat4 is not None) << 5
+           | (lat5 is not None) << 6)
+    # events, context, history (three bytes in most real records).
+    for value in (int(record.events), record.context, record.history):
+        if 0 <= value < 0x80:
+            append(value)
+        elif 0 <= value < 0x200000:
+            append(value & 0x7F | 0x80)
+            if value < 0x4000:
+                append(value >> 7)
+            else:
+                append(value >> 7 & 0x7F | 0x80)
+                append(value >> 14)
+        else:
+            _uv_encode(out, value)
+    if addr is not None:
+        _uv_encode(out, addr << 1 if addr >= 0 else ~addr << 1 | 1)
+    for value in (lat0, lat1, lat2, lat3, lat4, lat5):
+        if value is not None:
+            if 0 <= value < 0x80:
+                append(value)
+            else:
+                _uv_encode(out, value)
+    length = len(out) - start - 1
+    if length < 0x80:
+        out[start] = length
+    else:
+        prefix = bytearray()
+        _uv_encode(prefix, length)
+        out[start:start + 1] = prefix
+    return pc, fetch
 
 
 def _decode_single_v2(data, offset, state):
-    """Decode one record encoded by :func:`_encode_single_v2`."""
+    """Decode one record encoded by :func:`_encode_record` (truncation
+    surfaces as IndexError, which :func:`decode_push_payload` types)."""
     length, offset = _uv_decode(data, offset)
     end = offset + length
     if end > len(data):
@@ -275,12 +306,9 @@ def _decode_single_v2(data, offset, state):
     fetch = state[1] = state[1] + delta
     delta, offset = _sv_decode(data, offset)
     done = fetch + delta
-    try:
-        op_byte = data[offset]
-        abort_byte = data[offset + 1]
-        presence = data[offset + 2]
-    except IndexError:
-        raise ProtocolError("truncated record header") from None
+    op_byte = data[offset]
+    abort_byte = data[offset + 1]
+    presence = data[offset + 2]
     offset += 3
     if op_byte > len(_OPCODES):
         raise ProtocolError("unknown opcode ordinal %d" % (op_byte,))
@@ -292,96 +320,34 @@ def _decode_single_v2(data, offset, state):
     addr = None
     if presence & 0x01:
         addr, offset = _sv_decode(data, offset)
-    latencies = {}
+    latencies = dict.fromkeys(LATENCY_FIELDS)
     for bit, name in enumerate(LATENCY_FIELDS):
         if presence & (1 << (bit + 1)):
             latencies[name], offset = _uv_decode(data, offset)
-    record = ProfileRecord(
-        context=context, pc=pc,
-        op=None if op_byte == 0 else _OPCODES[op_byte - 1],
-        addr=addr,
-        events=Event(events),
-        abort_reason=_ABORTS[abort_byte],
-        history=history,
-        fetch_cycle=fetch, done_cycle=done,
-        fetch_to_map=latencies.get("fetch_to_map"),
-        map_to_data_ready=latencies.get("map_to_data_ready"),
-        data_ready_to_issue=latencies.get("data_ready_to_issue"),
-        issue_to_retire_ready=latencies.get("issue_to_retire_ready"),
-        retire_ready_to_retire=latencies.get("retire_ready_to_retire"),
-        load_issue_to_completion=latencies.get("load_issue_to_completion"))
     if offset != end:
         raise ProtocolError("record length mismatch: %d bytes left over"
                             % (end - offset,))
-    return record, end
-
-
-def _encode_sample_v2(out, sample, state):
-    if isinstance(sample, PairedRecord):
-        out.append(_TAG_PAIR)
-        _encode_single_v2(out, sample.first, state)
-        if sample.second is not None:
-            out.append(1)
-            _encode_single_v2(out, sample.second, state)
-        else:
-            out.append(0)
-        presence = ((0x01 if sample.intra_pair_cycles is not None else 0)
-                    | (0x02 if sample.intra_pair_distance is not None else 0))
-        out.append(presence)
-        if sample.intra_pair_cycles is not None:
-            _sv_encode(out, sample.intra_pair_cycles)
-        if sample.intra_pair_distance is not None:
-            _sv_encode(out, sample.intra_pair_distance)
-        return
-    if isinstance(sample, GroupRecord):
-        out.append(_TAG_GROUP)
-        _uv_encode(out, len(sample.records))
-        for record in sample.records:
-            if record is None:
-                out.append(0)
-            else:
-                out.append(1)
-                _encode_single_v2(out, record, state)
-        if len(sample.fetch_offsets) != len(sample.records):
-            raise ProtocolError("group has %d records but %d fetch offsets"
-                                % (len(sample.records),
-                                   len(sample.fetch_offsets)))
-        for value in sample.fetch_offsets:
-            if value is None:
-                out.append(0)
-            else:
-                out.append(1)
-                _sv_encode(out, value)
-        _uv_encode(out, len(sample.distances))
-        for value in sample.distances:
-            _sv_encode(out, value)
-        return
-    out.append(_TAG_RECORD)
-    _encode_single_v2(out, sample, state)
+    return ProfileRecord(
+        context=context, pc=pc,
+        op=None if op_byte == 0 else _OPCODES[op_byte - 1], addr=addr,
+        events=Event(events), abort_reason=_ABORTS[abort_byte],
+        history=history, fetch_cycle=fetch, done_cycle=done,
+        **latencies), end
 
 
 def _decode_sample_v2(data, offset, state):
-    try:
-        tag = data[offset]
-    except IndexError:
-        raise ProtocolError("truncated batch (missing sample tag)") from None
+    tag = data[offset]
     offset += 1
     if tag == _TAG_RECORD:
         return _decode_single_v2(data, offset, state)
     if tag == _TAG_PAIR:
         first, offset = _decode_single_v2(data, offset, state)
-        try:
-            has_second = data[offset]
-        except IndexError:
-            raise ProtocolError("truncated pair") from None
-        offset += 1
         second = None
-        if has_second:
-            second, offset = _decode_single_v2(data, offset, state)
-        try:
-            presence = data[offset]
-        except IndexError:
-            raise ProtocolError("truncated pair") from None
+        if data[offset]:
+            second, offset = _decode_single_v2(data, offset + 1, state)
+        else:
+            offset += 1
+        presence = data[offset]
         offset += 1
         cycles = distance = None
         if presence & 0x01:
@@ -395,28 +361,20 @@ def _decode_sample_v2(data, offset, state):
         count, offset = _uv_decode(data, offset)
         records = []
         for _ in range(count):
-            try:
-                present = data[offset]
-            except IndexError:
-                raise ProtocolError("truncated group") from None
-            offset += 1
-            if present:
-                record, offset = _decode_single_v2(data, offset, state)
-                records.append(record)
+            record = None
+            if data[offset]:
+                record, offset = _decode_single_v2(data, offset + 1, state)
             else:
-                records.append(None)
+                offset += 1
+            records.append(record)
         offsets = []
         for _ in range(count):
-            try:
-                present = data[offset]
-            except IndexError:
-                raise ProtocolError("truncated group") from None
-            offset += 1
-            if present:
-                value, offset = _sv_decode(data, offset)
-                offsets.append(value)
+            value = None
+            if data[offset]:
+                value, offset = _sv_decode(data, offset + 1)
             else:
-                offsets.append(None)
+                offset += 1
+            offsets.append(value)
         dcount, offset = _uv_decode(data, offset)
         distances = []
         for _ in range(dcount):
@@ -429,13 +387,60 @@ def _decode_sample_v2(data, offset, state):
 
 
 def encode_push_payload(samples):
-    """Encode a batch of samples to v2 payload bytes."""
+    """Encode a sequence of samples to ``(v2 payload bytes, members)``,
+    *members* counting every record, pair and group members included.
+    Each sample is dispatched once on its type; every record goes
+    through :func:`_encode_record`."""
     out = bytearray()
     _uv_encode(out, len(samples))
-    state = [0, 0]
-    for sample in samples:
-        _encode_sample_v2(out, sample, state)
-    return bytes(out)
+    encode = _encode_record
+    pc = fetch = members = 0
+    try:
+        for sample in samples:
+            if isinstance(sample, PairedRecord):
+                out.append(_TAG_PAIR)
+                pc, fetch = encode(out, sample.first, pc, fetch)
+                second = sample.second
+                out.append(second is not None)
+                if second is not None:
+                    pc, fetch = encode(out, second, pc, fetch)
+                    members += 1
+                members += 1
+                cycles = sample.intra_pair_cycles
+                distance = sample.intra_pair_distance
+                out.append((cycles is not None) | (distance is not None) << 1)
+                if cycles is not None:
+                    _sv_encode(out, cycles)
+                if distance is not None:
+                    _sv_encode(out, distance)
+            elif isinstance(sample, GroupRecord):
+                records = sample.records
+                if len(sample.fetch_offsets) != len(records):
+                    raise ProtocolError(
+                        "group has %d records but %d fetch offsets"
+                        % (len(records), len(sample.fetch_offsets)))
+                out.append(_TAG_GROUP)
+                _uv_encode(out, len(records))
+                for record in records:
+                    out.append(record is not None)
+                    if record is not None:
+                        pc, fetch = encode(out, record, pc, fetch)
+                        members += 1
+                for value in sample.fetch_offsets:
+                    out.append(value is not None)
+                    if value is not None:
+                        _sv_encode(out, value)
+                _uv_encode(out, len(sample.distances))
+                for value in sample.distances:
+                    _sv_encode(out, value)
+            else:
+                out.append(_TAG_RECORD)
+                pc, fetch = encode(out, sample, pc, fetch)
+                members += 1
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ProtocolError("sample not encodable as wire v2: %s"
+                            % (exc,)) from exc
+    return bytes(out), members
 
 
 def decode_push_payload(payload):
@@ -443,9 +448,13 @@ def decode_push_payload(payload):
     count, offset = _uv_decode(payload, 0)
     state = [0, 0]
     samples = []
-    for _ in range(count):
-        sample, offset = _decode_sample_v2(payload, offset, state)
-        samples.append(sample)
+    try:
+        for _ in range(count):
+            sample, offset = _decode_sample_v2(payload, offset, state)
+            samples.append(sample)
+    except IndexError:
+        raise ProtocolError("truncated batch (frame ends inside a "
+                            "sample)") from None
     if offset != len(payload):
         raise ProtocolError("push payload has %d trailing bytes"
                             % (len(payload) - offset,))
@@ -545,7 +554,7 @@ def scan_push_payload(payload):
     the group's present bytes, fetch offsets and distances) without
     building sample objects; signatures are validated by the caller.
     """
-    scan, sv_decode = _scan_member, _sv_decode
+    scan = _scan_member
     members = []
     append = members.append
     count, offset = _uv_decode(payload, 0)
@@ -570,10 +579,11 @@ def scan_push_payload(payload):
                     offset += 1
                 presence = payload[offset]
                 offset += 1
-                if presence & 0x01:
-                    _, offset = sv_decode(payload, offset)  # cycles
-                if presence & 0x02:
-                    _, offset = sv_decode(payload, offset)  # distance
+                for present in (presence & 0x01, presence & 0x02):
+                    if present:  # cycles, distance: step over the varint
+                        while payload[offset] > 0x7F:
+                            offset += 1
+                        offset += 1
             elif tag == _TAG_GROUP:
                 size, offset = _uv_decode(payload, offset + 1)
                 for _ in range(size):
@@ -583,14 +593,17 @@ def scan_push_payload(payload):
                         member = scan(payload, offset, state, limit)
                         append(member)
                         offset = member[3]
-                for _ in range(size):
-                    present = payload[offset]
+                for _ in range(size):  # fetch offsets
+                    if payload[offset]:
+                        offset += 1
+                        while payload[offset] > 0x7F:
+                            offset += 1
                     offset += 1
-                    if present:
-                        _, offset = sv_decode(payload, offset)  # fetch offset
                 distances, offset = _uv_decode(payload, offset)
                 for _ in range(distances):
-                    _, offset = sv_decode(payload, offset)
+                    while payload[offset] > 0x7F:
+                        offset += 1
+                    offset += 1
             else:
                 raise ProtocolError("unknown sample tag %d" % (tag,))
     except IndexError:
@@ -713,13 +726,9 @@ def encode_binary_frame(frame_type, payload, count, sync=False):
     return _HEADER.pack(body_len) + header + payload
 
 
-def _sample_count(samples):
-    """Records inside a batch, counting every pair/group member."""
-    return sum(len(sample_records(sample)) for sample in samples)
-
-
 def plan_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
-    """Encode a batch as ``(frame bytes, top-level sample count)`` pairs.
+    """Encode a sequence of samples as ``(frame bytes, top-level sample
+    count)`` pairs.
 
     The batch is encoded once; only when that frame would exceed
     *max_bytes* is it halved and each half planned recursively, so the
@@ -728,11 +737,9 @@ def plan_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
     spills or is lost.  A single sample too large for a frame raises —
     there is no smaller unit to split into.
     """
-    samples = list(samples)
-    payload = encode_push_payload(samples)
+    payload, members = encode_push_payload(samples)
     if _V2_HEADER.size + len(payload) <= max_bytes:
-        return [(encode_binary_frame(FRAME_PUSH, payload,
-                                     _sample_count(samples), sync=sync),
+        return [(encode_binary_frame(FRAME_PUSH, payload, members, sync=sync),
                  len(samples))]
     if len(samples) <= 1:
         raise ProtocolError("a single sample exceeds the %d-byte frame "
@@ -742,12 +749,6 @@ def plan_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
                              max_bytes=max_bytes)
             + plan_push_frames(samples[middle:], sync=sync,
                                max_bytes=max_bytes))
-
-
-def encode_push_frames(samples, sync=False, max_bytes=MAX_FRAME_BYTES):
-    """Like :func:`plan_push_frames`, returning only the frame bytes."""
-    return [frame for frame, _ in plan_push_frames(
-        samples, sync=sync, max_bytes=max_bytes)]
 
 
 def encode_probe_frame(readings, tick, sync=False):

@@ -271,12 +271,14 @@ class ProfileServer:
             *(worker.snap_retry() for worker in self.workers))
         self._refresh_stats()
         # The merged view aligns shard buckets on (level, start); it
-        # never re-evicts (the shards already enforced retention).
+        # takes the retention cap only after merging, so it never
+        # re-evicts (the shards did) yet its export carries the cap.
         seed = self.seed_database
         merged = ProfileDatabase(keep_addresses=seed.keep_addresses,
                                  rollup_interval=seed.rollup_interval)
         for database in databases:
             merged.merge(database)
+        merged.retain_buckets = seed.retain_buckets
         return merged, databases
 
     async def write_snapshot(self):

@@ -24,10 +24,12 @@ read faster than the probe-free row of the same workload.  The cost
 of profiling is layerbench's traced ``profileme.overhead_frac``.
 """
 
+import hashlib
 import json
 import platform
 import subprocess
 import time
+import timeit
 
 from repro.engine.session import SessionSpec, run_session
 from repro.profileme.unit import ProfileMeConfig
@@ -67,6 +69,12 @@ INTERP_QUICK = (("compress", 4),)
 # out-of-order core over branchy gcc, (workload, scale, mean_interval).
 # `samples` is its determinism guard.
 PROFILEME_ROW = ("gcc", 1, 100)
+
+# Wire rows: push encode and shard fold of that session's samples in
+# ServiceSink-sized batches, (quick, full) passes per timing; `records`
+# and the sha256 `digest` of the payloads / folded export guard them.
+WIRE_BATCH = 256
+WIRE_PASSES = (50, 200)
 
 
 def git_revision():
@@ -175,6 +183,48 @@ def _measure_interpreter(quick, repeats, progress):
     return rows
 
 
+def _measure_wire(quick, repeats, progress):
+    """``wire/encode`` and ``wire/fold`` rows: records/s, best of
+    *repeats* timings of the pass count (garbage collection off)."""
+    from repro.analysis.persistence import canonical_json
+    from repro.service.fold import ShardFolder
+    from repro.service.protocol import encode_push_payload
+
+    name, scale, interval = PROFILEME_ROW
+    pairs = run_session(SessionSpec(
+        program=suite_program(name, scale=scale),
+        profile=ProfileMeConfig(mean_interval=interval, seed=7,
+                                paired=True))).pairs
+    batches = [pairs[i:i + WIRE_BATCH]
+               for i in range(0, len(pairs), WIRE_BATCH)]
+
+    def encode():
+        return [encode_push_payload(batch) for batch in batches]
+
+    def fold():
+        folder = ShardFolder()
+        for payload, _ in encoded:
+            folder.fold_payload(payload)
+        return folder.database
+
+    encoded = encode()
+    records = sum(members for _, members in encoded)
+    passes = WIRE_PASSES[0 if quick else 1]
+    rows = {}
+    for step, run, output in (
+            ("encode", encode, b"".join(payload for payload, _ in encoded)),
+            ("fold", fold, canonical_json(fold().to_dict()).encode())):
+        label = "%s/%s@%d/S=%d/paired" % (step, name, scale, interval)
+        if progress:
+            progress("wire/" + label)
+        wall = min(timeit.repeat(run, number=passes, repeat=repeats))
+        rows[label] = {"cycles": 0, "records": records,
+                       "digest": hashlib.sha256(output).hexdigest(),
+                       "wall_s": round(wall, 6),
+                       "records_per_sec": int(records * passes / wall)}
+    return rows
+
+
 def run_bench(quick=False, repeats=None, progress=None):
     """Run the pinned benchmark matrix; returns the result document."""
     if repeats is None:
@@ -215,6 +265,7 @@ def run_bench(quick=False, repeats=None, progress=None):
 
     results["interpreter"] = _measure_interpreter(quick, repeats, progress)
     results["twospeed"] = _measure_twospeed(quick, progress)
+    results["wire"] = _measure_wire(quick, repeats, progress)
 
     return {
         "kind": BENCH_KIND,
@@ -285,6 +336,12 @@ def diff_lines(baseline, current):
                     "baseline %s" % (kind, label, entry["retired"],
                                      base["retired"], base_rev))
                 continue
+            if base.get("digest") != entry.get("digest"):
+                simulation_changed = True  # payload or folded-export bytes
+                lines.append("%s/%s: WIRE BYTES CHANGED — digest %s vs %s in "
+                             "baseline %s" % (kind, label, entry.get("digest"),
+                                              base.get("digest"), base_rev))
+                continue
             if ("samples" in base and "samples" in entry
                     and base["samples"] != entry["samples"]):
                 # Sampled runs are deterministic: a moving sample count
@@ -296,13 +353,16 @@ def diff_lines(baseline, current):
                     "baseline %s" % (kind, label, entry["samples"],
                                      base["samples"], base_rev))
                 continue
-            # Rows without a cycle axis (interpreter) report retired
-            # instr/s as their throughput instead.
-            unit = "cycles/s" if entry.get("cycles_per_sec") else "instr/s"
-            base_rate = (base.get("cycles_per_sec")
-                         or base.get("retired_per_sec", 0))
-            rate = (entry.get("cycles_per_sec")
-                    or entry.get("retired_per_sec", 0))
+            # Rows without a cycle axis report retired instr/s
+            # (interpreter) or records/s (wire) instead.
+            if entry.get("cycles_per_sec"):
+                key, unit = "cycles_per_sec", "cycles/s"
+            elif "records_per_sec" in entry:
+                key, unit = "records_per_sec", "records/s"
+            else:
+                key, unit = "retired_per_sec", "instr/s"
+            base_rate = base.get(key, 0)
+            rate = entry.get(key, 0)
             if same_flavour and base_rate:
                 delta = 100.0 * (rate - base_rate) / base_rate
                 lines.append("%s/%s: %d %s (%+.1f%% vs %s)"

@@ -856,6 +856,11 @@ def cmd_bench(args):
     print("wrote %s (rev %s)" % (out, document["git_rev"]))
     for kind in sorted(document["results"]):
         for label, entry in sorted(document["results"][kind].items()):
+            if "records_per_sec" in entry:
+                print("  %s/%s: %d records in %.3fs = %d records/s"
+                      % (kind, label, entry["records"], entry["wall_s"],
+                         entry["records_per_sec"]))
+                continue
             line = ("  %s/%s: %d cycles in %.3fs = %d cycles/s, "
                     "%d retired instr/s"
                     % (kind, label, entry["cycles"], entry["wall_s"],

@@ -18,7 +18,7 @@ from repro.profileme.registers import (GroupRecord, PairedRecord,
                                        sample_pairs, sample_records,
                                        shift_sample)
 from repro.profileme.unit import ProfileMeConfig, ProfileMeStats, draw_interval
-from repro.service.protocol import _sample_count
+from repro.service.protocol import encode_push_payload
 from repro.utils.rng import SamplingRng
 
 from tests.analysis.test_concurrency import record
@@ -69,7 +69,7 @@ def test_consumers_agree_with_the_shape_helpers(name):
     records = sample_records(sample)
     pairs = sample_pairs(sample)
 
-    assert _sample_count([sample]) == len(records)
+    assert encode_push_payload([sample])[1] == len(records)
 
     database = ProfileDatabase()
     database.add(sample)

@@ -17,13 +17,13 @@ from tests.analysis.test_database import make_record
 
 
 def round_trip(sample):
-    (clone,) = decode_push_payload(encode_push_payload([sample]))
+    (clone,) = decode_push_payload(encode_push_payload([sample])[0])
     return clone
 
 
 def single_record_payload(record):
     """(payload bytearray, offset of the record's length varint)."""
-    payload = bytearray(encode_push_payload([record]))
+    payload = bytearray(encode_push_payload([record])[0])
     _, offset = _uv_decode(bytes(payload), 0)  # sample count
     return payload, offset + 1  # past the record tag
 

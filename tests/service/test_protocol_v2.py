@@ -34,12 +34,13 @@ from repro.analysis.persistence import database_to_dict
 from repro.errors import ProtocolError
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
-from repro.profileme.registers import GroupRecord, PairedRecord, ProfileRecord
+from repro.profileme.registers import (GroupRecord, PairedRecord,
+                                       ProfileRecord, sample_records)
 from repro.service.fold import ShardFolder
 from repro.service import protocol
 from repro.service.protocol import (FRAME_PROBE_PUSH, FRAME_PUSH,
                                     MAX_FRAME_BYTES, V2_MAGIC, WIRE_VERSION,
-                                    _sample_count, _sv_decode, _sv_encode,
+                                    _sv_decode, _sv_encode,
                                     _uv_decode, _uv_encode,
                                     decode_probe_payload, decode_push_payload,
                                     encode_binary_frame, encode_frame,
@@ -50,6 +51,17 @@ from repro.service.protocol import (FRAME_PROBE_PUSH, FRAME_PUSH,
 
 def canonical_json(document):
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _payload(samples):
+    """Payload bytes alone, without :func:`encode_push_payload`'s
+    member count."""
+    return encode_push_payload(samples)[0]
+
+
+def _members(samples):
+    """Records a batch holds, counting every pair/group member."""
+    return sum(len(sample_records(sample)) for sample in samples)
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +173,13 @@ class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(_batches)
     def test_push_payload_round_trips_byte_exact(self, batch):
-        payload = encode_push_payload(batch)
+        payload, members = encode_push_payload(batch)
+        assert members == _members(batch)
         decoded = decode_push_payload(payload)
         assert decoded == batch
         # Canonical: re-encoding what was decoded reproduces the bytes,
         # so delta state cannot drift between encoder and decoder.
-        assert encode_push_payload(decoded) == payload
+        assert _payload(decoded) == payload
 
     @settings(max_examples=80, deadline=None)
     @given(_batches)
@@ -175,7 +188,7 @@ class TestRoundTrip:
         [decoded], _ = split_frames(frame)
         assert decode_push_payload(decoded["payload"]) == batch
         assert top_level == len(batch)
-        assert decoded["count"] == _sample_count(batch)
+        assert decoded["count"] == _members(batch)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(
@@ -193,14 +206,14 @@ class TestRoundTrip:
         assert decoded_tick == tick
 
     def test_empty_batch(self):
-        payload = encode_push_payload([])
+        payload = _payload([])
         assert decode_push_payload(payload) == []
 
     def test_pc_regression_and_wraparound_deltas(self):
         batch = [_rec(pc=_U64, fetch_cycle=10, done_cycle=11),
                  _rec(pc=0, fetch_cycle=5, done_cycle=6),  # regression
                  _rec(pc=_U64, fetch_cycle=_U64, done_cycle=0)]
-        assert decode_push_payload(encode_push_payload(batch)) == batch
+        assert decode_push_payload(_payload(batch)) == batch
 
     def test_delta_chain_spans_pair_and_group_members(self):
         batch = [
@@ -211,9 +224,9 @@ class TestRoundTrip:
                         fetch_offsets=(0, None, 7), distances=(4, 4)),
             _rec(pc=0x1004),
         ]
-        payload = encode_push_payload(batch)
+        payload, members = encode_push_payload(batch)
         assert decode_push_payload(payload) == batch
-        assert _sample_count(batch) == 6
+        assert members == 6
 
     def test_varint_zigzag_edges(self):
         for value in (0, -1, 1, -2, 2 ** 64, -(2 ** 64), 2 ** 70):
@@ -232,7 +245,84 @@ class TestRoundTrip:
         # each, so a record costs a little over a dozen bytes.
         batch = [_rec(pc=0x40 + 4 * i, fetch_cycle=100 + 7 * i,
                       done_cycle=140 + 7 * i) for i in range(256)]
-        assert len(encode_push_payload(batch)) <= 16 * len(batch)
+        assert len(_payload(batch)) <= 16 * len(batch)
+
+
+# ----------------------------------------------------------------------
+# The encoder's input contract: what it accepts encodes canonically,
+# what it refuses is a typed error.
+
+
+def _encodes_like(odd, canonical):
+    assert _payload([odd]) == _payload([canonical])
+
+
+class TestEncoderContract:
+    def test_plain_int_events(self):
+        events = Event.RETIRED | Event.DCACHE_MISS
+        _encodes_like(_rec(events=int(events)), _rec(events=events))
+
+    def test_history_past_int64(self):
+        # 2**1000 makes the record longer than 127 bytes, so its length
+        # prefix is itself a multi-byte varint.
+        for history in (2 ** 63, 2 ** 64 - 1, 2 ** 70, 2 ** 1000):
+            batch = [_rec(history=history)]
+            assert decode_push_payload(_payload(batch)) == batch
+
+    def test_bool_fields_encode_as_ints(self):
+        _encodes_like(
+            _rec(context=True, history=False, addr=True, fetch_to_map=True,
+                 data_ready_to_issue=False),
+            _rec(context=1, history=0, addr=1, fetch_to_map=1,
+                 data_ready_to_issue=0))
+
+    @pytest.mark.parametrize("overrides", [
+        {"context": -1}, {"fetch_to_map": -1},
+        {"load_issue_to_completion": -300}, {"history": -(2 ** 64)},
+        {"context": 1.5}, {"fetch_to_map": 2.0}, {"pc": 0.5},
+        {"history": 1e20}, {"fetch_cycle": 100.0}, {"addr": 8.0},
+        {"op": "ADD"}, {"op": 3}, {"op": AbortReason.NONE},
+        {"abort_reason": "none"}, {"abort_reason": Opcode.ADD},
+    ], ids=repr)
+    def test_refused_record_fields_are_typed(self, overrides):
+        record = _rec(**overrides)
+        for sample in (record,
+                       PairedRecord(first=_rec(), second=record,
+                                    intra_pair_cycles=1,
+                                    intra_pair_distance=1),
+                       GroupRecord(records=(None, record),
+                                   fetch_offsets=(None, 0), distances=())):
+            with pytest.raises(ProtocolError):
+                encode_push_payload([_rec(), sample])
+            with pytest.raises(ProtocolError):
+                plan_push_frames([sample])
+
+    def test_group_with_mismatched_offsets_is_typed(self):
+        group = GroupRecord(records=(_rec(), _rec(pc=0x44)),
+                            fetch_offsets=(0,), distances=(1,))
+        with pytest.raises(ProtocolError, match="2 records but 1 fetch"):
+            encode_push_payload([group])
+
+    @pytest.mark.parametrize("sample", [
+        PairedRecord(first=_rec(), second=None, intra_pair_cycles=1.5,
+                     intra_pair_distance=None),
+        PairedRecord(first=_rec(), second=None, intra_pair_cycles=None,
+                     intra_pair_distance="1"),
+        GroupRecord(records=(_rec(),), fetch_offsets=(0.5,), distances=()),
+        GroupRecord(records=(_rec(),), fetch_offsets=(0,), distances=(None,)),
+        GroupRecord(records=None, fetch_offsets=(), distances=()),
+    ], ids=["pair-cycles", "pair-distance", "group-offset",
+            "group-distance", "group-records"])
+    def test_refused_pair_and_group_framing_is_typed(self, sample):
+        # The pair trailer and the group framing are checked like record
+        # fields; these once escaped the encoder as a bare TypeError.
+        with pytest.raises(ProtocolError):
+            encode_push_payload([sample])
+
+    def test_non_sample_is_typed(self):
+        for sample in (None, "record", 7):
+            with pytest.raises(ProtocolError):
+                encode_push_payload([sample])
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +383,7 @@ class TestFrameSplitting:
 
 def _valid_frame():
     batch = [_rec(pc=0x40 + 4 * i) for i in range(5)]
-    payload = encode_push_payload(batch)
-    return encode_binary_frame(FRAME_PUSH, payload, _sample_count(batch))
+    return encode_binary_frame(FRAME_PUSH, *encode_push_payload(batch))
 
 
 class TestAdversarialFrames:
@@ -313,7 +402,7 @@ class TestAdversarialFrames:
 
     def test_truncated_payload_at_every_byte_is_typed(self):
         batch = [_rec(pc=0x40 + 4 * i, addr=0x1000 * i) for i in range(4)]
-        payload = encode_push_payload(batch)
+        payload = _payload(batch)
         for cut in range(len(payload)):
             with pytest.raises(ProtocolError):
                 decode_push_payload(payload[:cut])
@@ -362,7 +451,7 @@ class TestAdversarialFrames:
             decode_push_payload(bytes(out))
 
     def test_unknown_opcode_and_abort_ordinals(self):
-        payload = bytearray(encode_push_payload([_rec(op=None)]))
+        payload = bytearray(_payload([_rec(op=None)]))
         # Layout: count, tag, length, pc, fetch, done deltas (all one
         # byte here), then op byte.  Find it by decoding the prefix.
         _, offset = _uv_decode(bytes(payload), 0)
@@ -532,14 +621,14 @@ def _export(database):
 
 
 def _member(out, record, state):
-    """Append one record as :func:`protocol._encode_single_v2` does;
+    """Append one record as :func:`protocol._encode_record` does;
     returns the offset of its opcode byte."""
     header = bytearray()
     _sv_encode(header, record.pc - state[0])
     _sv_encode(header, record.fetch_cycle - state[1])
     _sv_encode(header, record.done_cycle - record.fetch_cycle)
     start = len(out)
-    protocol._encode_single_v2(out, record, state)
+    state[:] = protocol._encode_record(out, record, *state)
     assert out[start] < 0x80  # one-byte length prefix
     return start + 1 + len(header)
 
@@ -586,7 +675,7 @@ def _pair_and_group_payload():
     for value in group.distances:
         _sv_encode(out, value)
     spans["group_distances"] = (start, len(out))
-    assert bytes(out) == encode_push_payload(samples)
+    assert bytes(out) == _payload(samples)
     return bytes(out), spans
 
 
@@ -596,7 +685,7 @@ class TestFoldDifferential:
     def test_fused_fold_matches_record_by_record(self, payload_batches):
         from repro.analysis.database import ProfileDatabase
 
-        payloads = [encode_push_payload(batch) for batch in payload_batches]
+        payloads = [_payload(batch) for batch in payload_batches]
         for interval, retain in _FOLD_SETTINGS:
             folder = ShardFolder(rollup_interval=interval,
                                  retain_buckets=retain)
@@ -604,7 +693,7 @@ class TestFoldDifferential:
                                         retain_buckets=retain)
             database = folder.database
             for batch, payload in zip(payload_batches, payloads):
-                assert folder.fold_payload(payload) == _sample_count(batch)
+                assert folder.fold_payload(payload) == _members(batch)
                 for sample in batch:
                     reference.add(sample)
                 # Committed when the fold returns: nothing is pending.
@@ -627,7 +716,7 @@ class TestFoldDifferential:
         for payloads in ([batch], [[record] for record in batch]):
             folder = ShardFolder(rollup_interval=100, retain_buckets=1)
             for samples in payloads:
-                folder.fold_payload(encode_push_payload(samples))
+                folder.fold_payload(_payload(samples))
             database = folder.snapshot_database()
             assert (database.total_samples, database.evicted_samples) == \
                 (2, 1)
@@ -636,10 +725,10 @@ class TestFoldDifferential:
     def test_corrupt_payload_leaves_folder_untouched(self):
         folder = ShardFolder()
         good = [_rec(pc=0x40)]
-        folder.fold_payload(encode_push_payload(good))
+        folder.fold_payload(_payload(good))
         before = canonical_json(
             database_to_dict(folder.snapshot_database()))
-        bad = bytearray(encode_push_payload(
+        bad = bytearray(_payload(
             [_rec(pc=0x44), _rec(pc=0x48, op=None)]))
         truncated = bytes(bad[:len(bad) - 2])
         with pytest.raises(ProtocolError):
@@ -679,7 +768,7 @@ class TestFoldDifferential:
     def test_keep_addresses_disables_fast_path_but_not_results(self):
         batch = [_rec(pc=0x40, addr=0x1000 + i) for i in range(5)]
         folder = ShardFolder(keep_addresses=3)
-        folder.fold_payload(encode_push_payload(batch))
+        folder.fold_payload(_payload(batch))
         database = folder.snapshot_database()
         assert database.total_samples == 5
         assert len(database.per_pc[0x40].addresses) == 3

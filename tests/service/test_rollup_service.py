@@ -10,7 +10,7 @@ query, stats accounting, and the probe registry's per-shard gauges.
 import pytest
 
 from repro.analysis.database import ProfileDatabase
-from repro.analysis.persistence import canonical_json
+from repro.analysis.persistence import canonical_json, load_database
 from repro.errors import ProtocolError, ServiceError
 from repro.service.client import ProfileClient
 from repro.service.server import ServerThread
@@ -120,11 +120,30 @@ class TestRetentionAccounting:
         for tick in ticks:
             reference.add(tick_record(tick))
         assert reference.evicted_samples > 0
-        # The query view merges the shards into a database that does not
-        # re-evict.
-        view = ProfileDatabase(rollup_interval=100)
-        view.merge(reference)
-        assert canonical_json(served) == canonical_json(view.to_dict())
+        assert canonical_json(served) == canonical_json(reference.to_dict())
+
+    def test_export_and_snapshot_keep_the_retention_cap(self, tmp_path):
+        # Two connections feed the two shards, so the merged view holds
+        # more buckets than one shard retains; it must not re-evict them,
+        # yet its export says retain_buckets 2 and a database loaded from
+        # its snapshot evicts again on its next new bucket.
+        snapshot = str(tmp_path / "snapshot.json")
+        with ServerThread(port=0, shards=2, rollup_interval=100,
+                          retain_buckets=2, snapshot_path=snapshot) as thread:
+            _push_stream(thread.address, [0, 100, 200])
+            _push_stream(thread.address, [300, 400, 500])
+            with ProfileClient(thread.address) as client:
+                export = client.query("export")["database"]
+        assert export["retain_buckets"] == 2
+        assert export["total_samples"] + export["evicted_samples"] == 6
+        loaded = load_database(snapshot)
+        assert loaded.retain_buckets == 2
+        assert loaded.bucket_count > 2
+        # Tick 600 opens a new level-0 bucket without rolling any up.
+        loaded.add(tick_record(600))
+        assert loaded.bucket_count == 2
+        assert loaded.total_samples == 2
+        assert loaded.evicted_samples == 5
 
     def test_retention_requires_interval(self):
         with pytest.raises(ServiceError):

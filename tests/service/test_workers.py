@@ -25,7 +25,7 @@ from repro.analysis.database import ProfileDatabase
 from repro.events import AbortReason, Event
 from repro.isa.opcodes import Opcode
 from repro.profileme.registers import ProfileRecord
-from repro.service.protocol import (encode_push_frames, hello_frame,
+from repro.service.protocol import (hello_frame, plan_push_frames,
                                     recv_frame, send_frame)
 from repro.service.server import ServerThread
 from repro.service.workers import kill_worker
@@ -64,7 +64,7 @@ class SyncConnection:
         assert reply.get("kind") == "ok"
 
     def push_sync(self, samples):
-        frames = encode_push_frames(samples, sync=True)
+        frames = [frame for frame, _ in plan_push_frames(samples, sync=True)]
         replies = []
         for frame in frames:
             self.sock.sendall(frame)

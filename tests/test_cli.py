@@ -222,6 +222,8 @@ def test_bench_quick_writes_document_and_diffs(tmp_path, capsys):
     assert document["results"]["smt"]["compress+li"]["retired"] > 0
     assert document["results"]["profileme"]["gcc@1/S=100/paired"][
         "samples"] > 0
+    assert document["results"]["wire"]["encode/gcc@1/S=100/paired"][
+        "records"] > 0
 
     # Same simulation vs the baseline: informational diff, exit 0.
     second_path = str(tmp_path / "second.json")
@@ -237,6 +239,26 @@ def test_bench_quick_writes_document_and_diffs(tmp_path, capsys):
     assert main(["bench", "--quick", "--out", second_path,
                  "--baseline", baseline_path]) == 1
     assert "SIMULATION CHANGED" in capsys.readouterr().out
+
+
+def test_bench_diff_flags_wire_digest_changes():
+    from repro.tools import bench
+
+    row = {"cycles": 0, "records": 392, "digest": "ab" * 32,
+           "wall_s": 0.1, "records_per_sec": 1000}
+    baseline = {"quick": True, "git_rev": "base",
+                "results": {"wire": {"encode/gcc@1": row}}}
+    current = {"quick": True, "results": {"wire": {
+        "encode/gcc@1": dict(row, records_per_sec=1100)}}}
+    lines, changed = bench.diff_lines(baseline, current)
+    assert not changed
+    assert lines == ["wire/encode/gcc@1: 1100 records/s (+10.0% vs base)"]
+
+    # Different payload (or folded-export) bytes gate like a cycle drift.
+    current["results"]["wire"]["encode/gcc@1"]["digest"] = "cd" * 32
+    lines, changed = bench.diff_lines(baseline, current)
+    assert changed
+    assert lines[0].startswith("wire/encode/gcc@1: WIRE BYTES CHANGED")
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,8 @@ _EVENT_COLUMN = {flag: column for column, flag in enumerate(AGGREGATED_EVENTS)}
 _LATENCY_COLUMN = {name: column for column, name in enumerate(LATENCY_FIELDS)}
 _N_LATENCIES = len(LATENCY_FIELDS)
 _TAKEN_KEY = int(Event.BRANCH_TAKEN)
+_DCACHE_MISS = int(Event.DCACHE_MISS)
+_DTB_MISS = int(Event.DTB_MISS)
 
 # Exponential epoch spans, as multiples of the rollup interval: level 0
 # holds live buckets, 8 aligned level-0 buckets roll up into one level-1
@@ -314,7 +316,8 @@ class _ColumnStore:
         lat_cols = self._lat_cols
         folded = 0
         for (pc, signature), count in counts.items():
-            events, latencies = signatures[signature]
+            decoded = signatures[signature]
+            events = decoded[0]
             row = index.get(pc)
             if row is None:
                 row = self._new_row(pc)
@@ -325,7 +328,7 @@ class _ColumnStore:
                 plan = self._plan(events)
             for column in plan:
                 column[row] += count
-            for lat_column, value in latencies:
+            for lat_column, value in decoded[1]:
                 count_col, total_col, sq_col = lat_cols[lat_column]
                 count_col[row] += count
                 total_col[row] += count * value
@@ -606,13 +609,26 @@ class ProfileDatabase:
         self.total_samples += 1
         self._generation += 1
         if self.keep_addresses and record.addr is not None:
-            addresses = self._addresses.get(record.pc)
+            self.retain_addresses(((record.pc, record.addr, record.events),))
+
+    def retain_addresses(self, entries):
+        """Append ``(pc, addr, events bit-field)`` *entries* to the
+        effective-address table in arrival order, up to
+        :attr:`keep_addresses` per pc; an entry whose addr is None is
+        skipped.  The table is a side table outside the buckets, so the
+        shard fold appends a payload's addresses after its counts."""
+        cap = self.keep_addresses
+        table = self._addresses
+        for pc, addr, events in entries:
+            if addr is None:
+                continue
+            addresses = table.get(pc)
             if addresses is None:
-                addresses = self._addresses[record.pc] = []
-            if len(addresses) < self.keep_addresses:
-                addresses.append(
-                    (record.addr, bool(record.events & Event.DCACHE_MISS),
-                     bool(record.events & Event.DTB_MISS)))
+                addresses = table[pc] = []
+            if len(addresses) < cap:
+                addresses.append((addr, bool(events & _DCACHE_MISS),
+                                  bool(events & _DTB_MISS)))
+        self._generation += 1
 
     def fold_signatures(self, counts, signatures, tick=0):
         """Fold counted identical samples that share one rollup bucket.
@@ -621,9 +637,11 @@ class ProfileDatabase:
         counts each payload's records by ``(pc, signature)`` and lands
         every run of records that share a bucket here in one call:
         *counts* maps ``(pc, signature)`` to a sample count, and
-        *signatures* maps each signature to ``(events bit-field,
-        ((latency column, value), ...))`` over
-        :data:`~repro.profileme.registers.LATENCY_FIELDS`.  *tick*
+        *signatures* maps each signature to a tuple that opens with
+        ``(events bit-field, ((latency column, value), ...))`` over
+        :data:`~repro.profileme.registers.LATENCY_FIELDS` (the shard
+        fold's memo holds :func:`~repro.service.protocol.decode_signature`
+        results, whose further fields are not read here).  *tick*
         routes the whole run, so bucket creation, rollup and eviction
         happen once, as they would for its first record.  ``count``
         identical samples cost one multiply per column, and the integer

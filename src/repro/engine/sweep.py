@@ -168,10 +168,6 @@ class SweepMetrics:
     elapsed_seconds: float = 0.0
 
     @property
-    def cache_hits(self):
-        return self.cached
-
-    @property
     def cycles_per_second(self):
         """Fresh-simulation throughput (cached specs cost no cycles)."""
         if self.elapsed_seconds <= 0.0:

@@ -144,9 +144,6 @@ class ControlFlowGraph:
                 edges.append(BackEdge(pred=jsr_pc, kind=CALL, taken_bit=None))
         return edges
 
-    def is_function_entry(self, pc):
-        return pc in self._returns_of or pc in self._call_sites
-
 
 def observed_indirect_targets(trace):
     """Collect ``jmp_pc -> {targets}`` from a functional trace.

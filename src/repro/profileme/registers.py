@@ -85,9 +85,6 @@ class ProfileRecord:
             return None
         return issue + self.issue_to_retire_ready
 
-    def has_event(self, event):
-        return bool(self.events & event)
-
 
 def capture_record(dyninst, path_bits, done_cycle, context=None):
     """Latch a DynInst's observable state into a ProfileRecord.

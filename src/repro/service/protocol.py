@@ -92,6 +92,14 @@ reads fields directly and writes varints of up to three bytes inline).
 :func:`encode_push_payload` dispatches each sample once on its type and
 also returns the member count it walked: the frame's record count.
 
+**Parsing** happens in one place: :func:`scan_push_payload` is the one
+walk of the sample framing, :func:`_scan_member` reads each member's
+header and :func:`decode_signature` parses a signature.  The shard fold
+runs on those three without building objects;
+:func:`decode_push_payload` runs on the same three and rebuilds sample
+objects.  It is the round-trip reference the encoder and the committed
+wire fixtures are checked against.
+
 **Payload encoding (probe_push)**: ``svarint tick, uvarint count``,
 then per reading ``uvarint name-length, name UTF-8, value`` where a
 value is one tag byte — 0 none, 1 int (svarint), 2 float (8-byte
@@ -126,9 +134,10 @@ ok / error  s -> c       responses
 
 Record serialization round-trips :class:`ProfileRecord`,
 :class:`PairedRecord`, and :class:`GroupRecord` exactly — every field,
-including ``None`` latencies and off-path records with no opcode — so a
-database folded server-side from wire records is field-for-field
-identical to one folded in-process from the original objects.
+including ``None`` latencies and off-path records with no opcode
+(:func:`decode_push_payload` rebuilds them all) — so a database folded
+server-side from wire records is field-for-field identical to one
+folded in-process from the original objects.
 """
 
 import json
@@ -292,100 +301,6 @@ def _encode_record(out, record, prev_pc, prev_fetch):
     return pc, fetch
 
 
-def _decode_single_v2(data, offset, state):
-    """Decode one record encoded by :func:`_encode_record` (truncation
-    surfaces as IndexError, which :func:`decode_push_payload` types)."""
-    length, offset = _uv_decode(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("truncated record (claims %d bytes past the "
-                            "frame end)" % (end - len(data),))
-    delta, offset = _sv_decode(data, offset)
-    pc = state[0] = state[0] + delta
-    delta, offset = _sv_decode(data, offset)
-    fetch = state[1] = state[1] + delta
-    delta, offset = _sv_decode(data, offset)
-    done = fetch + delta
-    op_byte = data[offset]
-    abort_byte = data[offset + 1]
-    presence = data[offset + 2]
-    offset += 3
-    if op_byte > len(_OPCODES):
-        raise ProtocolError("unknown opcode ordinal %d" % (op_byte,))
-    if abort_byte >= len(_ABORTS):
-        raise ProtocolError("unknown abort-reason ordinal %d" % (abort_byte,))
-    events, offset = _uv_decode(data, offset)
-    context, offset = _uv_decode(data, offset)
-    history, offset = _uv_decode(data, offset)
-    addr = None
-    if presence & 0x01:
-        addr, offset = _sv_decode(data, offset)
-    latencies = dict.fromkeys(LATENCY_FIELDS)
-    for bit, name in enumerate(LATENCY_FIELDS):
-        if presence & (1 << (bit + 1)):
-            latencies[name], offset = _uv_decode(data, offset)
-    if offset != end:
-        raise ProtocolError("record length mismatch: %d bytes left over"
-                            % (end - offset,))
-    return ProfileRecord(
-        context=context, pc=pc,
-        op=None if op_byte == 0 else _OPCODES[op_byte - 1], addr=addr,
-        events=Event(events), abort_reason=_ABORTS[abort_byte],
-        history=history, fetch_cycle=fetch, done_cycle=done,
-        **latencies), end
-
-
-def _decode_sample_v2(data, offset, state):
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_RECORD:
-        return _decode_single_v2(data, offset, state)
-    if tag == _TAG_PAIR:
-        first, offset = _decode_single_v2(data, offset, state)
-        second = None
-        if data[offset]:
-            second, offset = _decode_single_v2(data, offset + 1, state)
-        else:
-            offset += 1
-        presence = data[offset]
-        offset += 1
-        cycles = distance = None
-        if presence & 0x01:
-            cycles, offset = _sv_decode(data, offset)
-        if presence & 0x02:
-            distance, offset = _sv_decode(data, offset)
-        return PairedRecord(first=first, second=second,
-                            intra_pair_cycles=cycles,
-                            intra_pair_distance=distance), offset
-    if tag == _TAG_GROUP:
-        count, offset = _uv_decode(data, offset)
-        records = []
-        for _ in range(count):
-            record = None
-            if data[offset]:
-                record, offset = _decode_single_v2(data, offset + 1, state)
-            else:
-                offset += 1
-            records.append(record)
-        offsets = []
-        for _ in range(count):
-            value = None
-            if data[offset]:
-                value, offset = _sv_decode(data, offset + 1)
-            else:
-                offset += 1
-            offsets.append(value)
-        dcount, offset = _uv_decode(data, offset)
-        distances = []
-        for _ in range(dcount):
-            value, offset = _sv_decode(data, offset)
-            distances.append(value)
-        return GroupRecord(records=tuple(records),
-                           fetch_offsets=tuple(offsets),
-                           distances=tuple(distances)), offset
-    raise ProtocolError("unknown sample tag %d" % (tag,))
-
-
 def encode_push_payload(samples):
     """Encode a sequence of samples to ``(v2 payload bytes, members)``,
     *members* counting every record, pair and group members included.
@@ -443,64 +358,51 @@ def encode_push_payload(samples):
     return bytes(out), members
 
 
-def decode_push_payload(payload):
-    """Decode a v2 push payload back into sample objects."""
-    count, offset = _uv_decode(payload, 0)
-    state = [0, 0]
-    samples = []
-    try:
-        for _ in range(count):
-            sample, offset = _decode_sample_v2(payload, offset, state)
-            samples.append(sample)
-    except IndexError:
-        raise ProtocolError("truncated batch (frame ends inside a "
-                            "sample)") from None
-    if offset != len(payload):
-        raise ProtocolError("push payload has %d trailing bytes"
-                            % (len(payload) - offset,))
-    return samples
-
-
 # ----------------------------------------------------------------------
-# Header scan: what the shard fold reads instead of decoding samples.
+# Push payload parsing: one framing walk, one header reader and one
+# signature parser, shared by the shard fold and the decoder.
 
 
 def decode_signature(signature):
-    """Validate + decode one signature span to fold-ready form.
+    """Validate + decode one signature span.
 
-    Returns ``(events bit-field, ((latency column, value), ...))``, the
+    Returns ``(events bit-field, ((latency column, value), ...), (addr,
+    opcode, abort reason, context, history))``.  The first two are the
     form :meth:`~repro.analysis.database.ProfileDatabase.fold_signatures`
-    resolves signatures to (context, history and addr are checked and
-    skipped: the profile database does not aggregate them).
-    Raises :class:`ProtocolError` on any malformation — unknown
-    ordinals, truncation, or trailing bytes.
+    folds; the third is what address retention and
+    :func:`decode_push_payload` read besides.  Raises
+    :class:`ProtocolError` on any malformation — unknown ordinals,
+    truncation, or trailing bytes.
     """
     if len(signature) < 3:
         raise ProtocolError("truncated record header")
-    if signature[0] > len(_OPCODES):
-        raise ProtocolError("unknown opcode ordinal %d" % (signature[0],))
-    if signature[1] >= len(_ABORTS):
-        raise ProtocolError("unknown abort-reason ordinal %d"
-                            % (signature[1],))
-    presence = signature[2]
+    op_byte, abort_byte, presence = signature[0], signature[1], signature[2]
+    if op_byte > len(_OPCODES):
+        raise ProtocolError("unknown opcode ordinal %d" % (op_byte,))
+    if abort_byte >= len(_ABORTS):
+        raise ProtocolError("unknown abort-reason ordinal %d" % (abort_byte,))
     events, offset = _uv_decode(signature, 3)
-    _, offset = _uv_decode(signature, offset)  # context
-    _, offset = _uv_decode(signature, offset)  # history
+    context, offset = _uv_decode(signature, offset)
+    history, offset = _uv_decode(signature, offset)
+    addr = None
     if presence & 0x01:
-        _, offset = _sv_decode(signature, offset)  # addr
+        addr, offset = _sv_decode(signature, offset)
     latencies = []
     for column in range(len(LATENCY_FIELDS)):
-        if presence & (1 << (column + 1)):
+        if presence & (2 << column):
             value, offset = _uv_decode(signature, offset)
             latencies.append((column, value))
     if offset != len(signature):
         raise ProtocolError("record length mismatch: %d bytes left over"
                             % (len(signature) - offset,))
-    return events, tuple(latencies)
+    return events, tuple(latencies), (
+        addr, _OPCODES[op_byte - 1] if op_byte else None, _ABORTS[abort_byte],
+        context, history)
 
 
 def _scan_member(data, offset, state, limit):
-    """Read one record's header; returns ``(pc, tick, signature, end)``.
+    """Read one record's header; returns ``(pc, tick, done, signature,
+    end)``, *tick* being the fetch cycle and *done* the done cycle.
 
     *state* is the batch's ``[pc, fetch_cycle]`` delta chain, advanced
     in place; *limit* is the payload length.  The header varints are
@@ -534,25 +436,34 @@ def _scan_member(data, offset, state, limit):
         else:
             delta, offset = _sv_decode(data, offset)
             tick = state[1] + delta
-        if data[offset] < 0x80:  # done-cycle delta, unused
+        byte = data[offset]
+        if byte < 0x80:
+            done = tick + ((byte >> 1) ^ -(byte & 1))
             offset += 1
         else:
-            _, offset = _sv_decode(data, offset)
+            delta, offset = _sv_decode(data, offset)
+            done = tick + delta
     except IndexError:
         raise ProtocolError("truncated varint (frame ends mid-value)") \
             from None
     state[0] = pc
     state[1] = tick
-    return pc, tick, data[offset:end], end
+    return pc, tick, done, data[offset:end], end
 
 
-def scan_push_payload(payload):
+def scan_push_payload(payload, framing=None):
     """Every record of a push payload, in wire order, as
-    ``(pc, tick, signature, end)`` — pair and group members included.
+    ``(pc, tick, done, signature, end)`` — pair and group members
+    included.
 
-    Parses and validates the sample framing (tags, the pair trailer,
-    the group's present bytes, fetch offsets and distances) without
-    building sample objects; signatures are validated by the caller.
+    This is the one walk of the sample framing (tags, the pair trailer,
+    the group's present bytes, fetch offsets and distances): it parses
+    and validates it without building sample objects; signatures are
+    validated by the caller.  A *framing* list also receives one entry
+    per sample — ``(tag,)`` for a single record, ``(tag, second
+    present, cycles, distance)`` for a pair, ``(tag, present bytes,
+    fetch offsets, distances)`` for a group — which is what
+    :func:`decode_push_payload` rebuilds samples from.
     """
     scan = _scan_member
     members = []
@@ -566,44 +477,62 @@ def scan_push_payload(payload):
             if tag == _TAG_RECORD:
                 member = scan(payload, offset + 1, state, limit)
                 append(member)
-                offset = member[3]
+                offset = member[4]
+                if framing is not None:
+                    framing.append((tag,))
             elif tag == _TAG_PAIR:
                 member = scan(payload, offset + 1, state, limit)
                 append(member)
-                offset = member[3]
-                if payload[offset]:  # second member present
+                offset = member[4]
+                second = payload[offset]
+                if second:
                     member = scan(payload, offset + 1, state, limit)
                     append(member)
-                    offset = member[3]
+                    offset = member[4]
                 else:
                     offset += 1
                 presence = payload[offset]
                 offset += 1
-                for present in (presence & 0x01, presence & 0x02):
-                    if present:  # cycles, distance: step over the varint
-                        while payload[offset] > 0x7F:
+                if framing is None:  # the fold: step over the values
+                    for present in (presence & 0x01, presence & 0x02):
+                        if present:
+                            while payload[offset] > 0x7F:
+                                offset += 1
                             offset += 1
-                        offset += 1
+                else:
+                    cycles = distance = None
+                    if presence & 0x01:
+                        cycles, offset = _sv_decode(payload, offset)
+                    if presence & 0x02:
+                        distance, offset = _sv_decode(payload, offset)
+                    framing.append((tag, second, cycles, distance))
             elif tag == _TAG_GROUP:
                 size, offset = _uv_decode(payload, offset + 1)
+                presents = []
                 for _ in range(size):
                     present = payload[offset]
+                    presents.append(present)
                     offset += 1
                     if present:
                         member = scan(payload, offset, state, limit)
                         append(member)
-                        offset = member[3]
-                for _ in range(size):  # fetch offsets
+                        offset = member[4]
+                offsets = []
+                for _ in range(size):
+                    value = None
                     if payload[offset]:
+                        value, offset = _sv_decode(payload, offset + 1)
+                    else:
                         offset += 1
-                        while payload[offset] > 0x7F:
-                            offset += 1
-                    offset += 1
-                distances, offset = _uv_decode(payload, offset)
-                for _ in range(distances):
-                    while payload[offset] > 0x7F:
-                        offset += 1
-                    offset += 1
+                    offsets.append(value)
+                size, offset = _uv_decode(payload, offset)
+                distances = []
+                for _ in range(size):
+                    value, offset = _sv_decode(payload, offset)
+                    distances.append(value)
+                if framing is not None:
+                    framing.append((tag, presents, tuple(offsets),
+                                    tuple(distances)))
             else:
                 raise ProtocolError("unknown sample tag %d" % (tag,))
     except IndexError:
@@ -613,6 +542,49 @@ def scan_push_payload(payload):
         raise ProtocolError("push payload has %d trailing bytes"
                             % (limit - offset,))
     return members
+
+
+def _decode_record(member):
+    """One :func:`scan_push_payload` member as a :class:`ProfileRecord`."""
+    pc, fetch, done, signature, _ = member
+    events, latencies, (addr, op, abort_reason, context, history) = \
+        decode_signature(signature)
+    fields = dict.fromkeys(LATENCY_FIELDS)
+    for column, value in latencies:
+        fields[LATENCY_FIELDS[column]] = value
+    return ProfileRecord(
+        context=context, pc=pc, op=op, addr=addr, events=Event(events),
+        abort_reason=abort_reason, history=history, fetch_cycle=fetch,
+        done_cycle=done, **fields)
+
+
+def decode_push_payload(payload):
+    """Decode a v2 push payload back into sample objects.
+
+    The round-trip reference the encoder is checked against: it runs on
+    the same walk, header reader and signature parser as the shard fold
+    and rebuilds every field.
+    """
+    framing = []
+    records = iter([_decode_record(member)
+                    for member in scan_push_payload(payload, framing)])
+    samples = []
+    for tag, *fields in framing:
+        if tag == _TAG_RECORD:
+            samples.append(next(records))
+        elif tag == _TAG_PAIR:
+            second, cycles, distance = fields
+            samples.append(PairedRecord(
+                first=next(records),
+                second=next(records) if second else None,
+                intra_pair_cycles=cycles, intra_pair_distance=distance))
+        else:
+            presents, offsets, distances = fields
+            samples.append(GroupRecord(
+                records=tuple(next(records) if present else None
+                              for present in presents),
+                fetch_offsets=offsets, distances=distances))
+    return samples
 
 
 def encode_probe_payload(readings, tick):

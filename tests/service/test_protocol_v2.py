@@ -18,8 +18,8 @@ exact and safe.  Three obligations, each tested here:
 * **Fused fold differential**: the signature-counting fold in
   :mod:`repro.service.fold` must produce byte-identical canonical
   exports to record-by-record aggregation, for any stream, flat or
-  rolled up, with or without retention, and a malformed payload must
-  leave the database as it was.
+  rolled up, with or without bucket retention and effective-address
+  retention, and a malformed payload must leave the database as it was.
 """
 
 import json
@@ -611,9 +611,12 @@ class TestServerSurvivesGarbage:
 # Fused-fold differential: the perf path must be invisible in results.
 
 
-# (rollup_interval, retain_buckets): flat, rolled up, and rolled up with
-# one or two retained buckets, so retention evicts within a payload.
-_FOLD_SETTINGS = ((0, 0), (64, 0), (64, 1), (64, 2))
+# (rollup_interval, retain_buckets, keep_addresses): flat, rolled up,
+# and rolled up with one or two retained buckets, so retention evicts
+# within a payload; flat and evicting shards also retain a few
+# effective addresses per pc, so the cap is reached within a payload.
+_FOLD_SETTINGS = ((0, 0, 0), (64, 0, 0), (64, 1, 0), (64, 2, 0),
+                  (0, 0, 2), (64, 1, 3))
 
 
 def _export(database):
@@ -686,11 +689,12 @@ class TestFoldDifferential:
         from repro.analysis.database import ProfileDatabase
 
         payloads = [_payload(batch) for batch in payload_batches]
-        for interval, retain in _FOLD_SETTINGS:
+        for interval, retain, keep in _FOLD_SETTINGS:
             folder = ShardFolder(rollup_interval=interval,
-                                 retain_buckets=retain)
+                                 retain_buckets=retain, keep_addresses=keep)
             reference = ProfileDatabase(rollup_interval=interval,
-                                        retain_buckets=retain)
+                                        retain_buckets=retain,
+                                        keep_addresses=keep)
             database = folder.database
             for batch, payload in zip(payload_batches, payloads):
                 assert folder.fold_payload(payload) == _members(batch)
@@ -765,10 +769,11 @@ class TestFoldDifferential:
                 fold(bytes(corrupt))
         assert _export(folder.database) == before
 
-    def test_keep_addresses_disables_fast_path_but_not_results(self):
+    def test_retains_first_addresses_in_arrival_order(self):
         batch = [_rec(pc=0x40, addr=0x1000 + i) for i in range(5)]
         folder = ShardFolder(keep_addresses=3)
         folder.fold_payload(_payload(batch))
         database = folder.snapshot_database()
         assert database.total_samples == 5
-        assert len(database.per_pc[0x40].addresses) == 3
+        assert database.per_pc[0x40].addresses == [
+            (0x1000 + i, False, False) for i in range(3)]
